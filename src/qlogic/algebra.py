@@ -2,17 +2,18 @@
 
 The carrier is a list of labelled elements and the partial binary sum is a
 square table with ``None`` marking undefined entries.  Validation checks the
-four effect-algebra axioms by full exhaustion; every derived notion (order,
-supplements, atoms, compatibility, coherence, Boolean-ness) is then computed
-by direct scans of the table.  Algebras are immutable and hashable, so the
-derived structures are cached per algebra.
+four effect-algebra axioms by full exhaustion.  The order, supplements,
+atoms, differences, meets, joins and incompatible pairs are then derived in
+one pass over the table, on first use, into one record kept on the algebra
+instance (``derive_order``); coherence and Boolean-ness are decided from the
+table and that record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 ElementId = int
 
@@ -111,6 +112,11 @@ class FiniteEffectAlgebra:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
+    @cached_property
+    def _derived(self) -> DerivedStructure:
+        # stored in the instance __dict__, so it lives and dies with the algebra
+        return _derive(self)
+
 
 def validate(
     elements,
@@ -186,6 +192,11 @@ def from_json_dict(doc: dict, max_size: int = MAX_CARRIER) -> FiniteEffectAlgebr
         raise MalformedTable("'elements' must be an array of strings")
     if not isinstance(doc["sums"], list):
         raise MalformedTable("'sums' must be an array of [a, b, c] triples")
+    for triple in doc["sums"]:
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise MalformedTable(f"sum entry {triple!r} is not an [a, b, c] triple")
+        if not all(isinstance(x, str) for x in triple):
+            raise MalformedTable(f"sum entry {triple!r} has a non-string label")
     return validate(doc["elements"], doc["zero"], doc["unit"], doc["sums"], max_size)
 
 
@@ -272,82 +283,96 @@ def _validate_checked(labels, zero, unit, table) -> FiniteEffectAlgebra:
 
 
 @dataclass(frozen=True)
-class OrderStructure:
-    """Induced partial order (p <= q iff q = p + r for some r) and supplement map."""
+class DerivedStructure:
+    """Order structure derived from the sum table, built once per algebra.
+
+    ``leq[p][q]``: p <= q.  ``difference[p][q]``: the r with p + r = q, or None.
+    ``meet``/``join``: greatest lower / least upper bound of a pair, or None.
+    """
 
     leq: tuple[tuple[bool, ...], ...]
     supplement: tuple[ElementId, ...]
+    atoms: tuple[ElementId, ...]
+    difference: tuple[tuple[ElementId | None, ...], ...]
+    meet: tuple[tuple[ElementId | None, ...], ...]
+    join: tuple[tuple[ElementId | None, ...], ...]
+    incompatible_pairs: tuple[tuple[ElementId, ElementId], ...]
 
 
-@lru_cache(maxsize=None)
-def derive_order(alg: FiniteEffectAlgebra) -> OrderStructure:
+def derive_order(alg: FiniteEffectAlgebra) -> DerivedStructure:
+    """The algebra's derived structure, built on first use and kept on it."""
+    return alg._derived
+
+
+def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
     n = alg.size
-    leq = tuple(
-        tuple(any(alg.table[p][r] == q for r in range(n)) for q in range(n))
-        for p in range(n)
+    t = alg.table
+    # down[q] and up[p] are bitmasks of the elements below q and above p
+    down = [0] * n
+    up = [0] * n
+    difference: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for r, q in enumerate(t[p]):
+            if q is not None:
+                down[q] |= 1 << p
+                up[p] |= 1 << q
+                difference[p][q] = r
+
+    # (x + z, y + z) is compatible for every mutually orthogonal (x, y, z)
+    compatible = [0] * n
+    for x in range(n):
+        orth = [y for y in range(n) if t[x][y] is not None]
+        for y in orth:
+            for z in orth:
+                if t[y][z] is not None:
+                    compatible[t[x][z]] |= 1 << t[y][z]
+
+    # a meet's down-set is the common down-set, and distinct elements have
+    # distinct down-sets (antisymmetry); dually for joins and up-sets
+    by_down = {mask: p for p, mask in enumerate(down)}
+    by_up = {mask: p for p, mask in enumerate(up)}
+    return DerivedStructure(
+        leq=tuple(tuple(r is not None for r in row) for row in difference),
+        supplement=tuple(row[alg.unit] for row in difference),
+        # an atom has exactly two elements below it: 0 and itself
+        atoms=tuple(p for p in range(n) if down[p].bit_count() == 2),
+        difference=tuple(tuple(row) for row in difference),
+        meet=tuple(tuple(by_down.get(dp & dq) for dq in down) for dp in down),
+        join=tuple(tuple(by_up.get(up_p & up_q) for up_q in up) for up_p in up),
+        incompatible_pairs=tuple(
+            (p, q) for p in range(n) for q in range(p + 1, n) if not compatible[p] >> q & 1
+        ),
     )
-    supplement = tuple(
-        next(q for q in range(n) if alg.table[p][q] == alg.unit) for p in range(n)
-    )
-    return OrderStructure(leq=leq, supplement=supplement)
-
-
-def leq(alg: FiniteEffectAlgebra, p: ElementId, q: ElementId) -> bool:
-    return derive_order(alg).leq[p][q]
-
-
-def supplement(alg: FiniteEffectAlgebra, p: ElementId) -> ElementId:
-    return derive_order(alg).supplement[p]
 
 
 def meet(alg: FiniteEffectAlgebra, p: ElementId, q: ElementId) -> ElementId | None:
     """Greatest lower bound of {p, q}, or None when the bound set has no maximum."""
-    lo = derive_order(alg).leq
-    lower = [r for r in alg.elements() if lo[r][p] and lo[r][q]]
-    for m in lower:
-        if all(lo[r][m] for r in lower):
-            return m
-    return None
+    return derive_order(alg).meet[p][q]
 
 
 def join(alg: FiniteEffectAlgebra, p: ElementId, q: ElementId) -> ElementId | None:
     """Least upper bound of {p, q}, or None when it does not exist."""
-    lo = derive_order(alg).leq
-    upper = [r for r in alg.elements() if lo[p][r] and lo[q][r]]
-    for m in upper:
-        if all(lo[m][r] for r in upper):
-            return m
-    return None
+    return derive_order(alg).join[p][q]
 
 
 def is_sharp(alg: FiniteEffectAlgebra, p: ElementId) -> bool:
-    m = meet(alg, p, supplement(alg, p))
-    return m == alg.zero
+    return meet(alg, p, derive_order(alg).supplement[p]) == alg.zero
 
 
 def sharp_elements(alg: FiniteEffectAlgebra) -> tuple[ElementId, ...]:
     return tuple(p for p in alg.elements() if is_sharp(alg, p))
 
 
-@lru_cache(maxsize=None)
 def atoms(alg: FiniteEffectAlgebra) -> tuple[ElementId, ...]:
     """Minimal nonzero elements, in carrier order."""
-    lo = derive_order(alg).leq
-    out = []
-    for p in alg.elements():
-        if p == alg.zero:
-            continue
-        below = [x for x in alg.elements() if lo[x][p]]
-        if set(below) == {alg.zero, p}:
-            out.append(p)
-    return tuple(out)
+    return derive_order(alg).atoms
 
 
 def is_atomic(alg: FiniteEffectAlgebra) -> bool:
-    lo = derive_order(alg).leq
-    ats = atoms(alg)
+    order = derive_order(alg)
     return all(
-        p == alg.zero or any(lo[a][p] for a in ats) for p in alg.elements()
+        p == alg.zero or any(order.leq[a][p] for a in order.atoms)
+        for p in alg.elements()
     )
 
 
@@ -393,16 +418,11 @@ def are_compatible(
     return out
 
 
-@lru_cache(maxsize=None)
 def incompatible_pairs(
     alg: FiniteEffectAlgebra,
 ) -> tuple[tuple[ElementId, ElementId], ...]:
-    out = []
-    for p in alg.elements():
-        for q in range(p + 1, alg.size):
-            if not are_compatible(alg, p, q):
-                out.append((p, q))
-    return tuple(out)
+    """Pairs p < q for which are_compatible(alg, p, q) is empty."""
+    return derive_order(alg).incompatible_pairs
 
 
 def is_orthoalgebra(
@@ -437,7 +457,6 @@ def check_coherence(
     return True, None
 
 
-@lru_cache(maxsize=None)
 def is_boolean(alg: FiniteEffectAlgebra) -> bool:
     """Boolean-ness, decided two independent ways; the deciders must agree."""
     via_compat = _boolean_via_compatibility(alg)
@@ -462,13 +481,10 @@ def _boolean_via_compatibility(alg: FiniteEffectAlgebra) -> bool:
 
 def _boolean_via_lattice(alg: FiniteEffectAlgebra) -> bool:
     n = alg.size
-    meets = [[meet(alg, p, q) for q in range(n)] for p in range(n)]
-    joins = [[join(alg, p, q) for q in range(n)] for p in range(n)]
-    for p in range(n):
-        for q in range(n):
-            if meets[p][q] is None or joins[p][q] is None:
-                return False
-    supp = derive_order(alg).supplement
+    order = derive_order(alg)
+    meets, joins, supp = order.meet, order.join, order.supplement
+    if any(None in row for row in meets + joins):
+        return False
     for p in range(n):
         if meets[p][supp[p]] != alg.zero or joins[p][supp[p]] != alg.unit:
             return False

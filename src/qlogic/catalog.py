@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import AlgebraError, FiniteEffectAlgebra, validate
+from .algebra import MAX_CARRIER, AlgebraError, FiniteEffectAlgebra, validate
 
-TOTAL_SIZE_CAP = 64
+MAX_SPEC_DEPTH = 100
 
 
 class BoundExceeded(AlgebraError):
@@ -103,8 +103,10 @@ def horizontal_sum(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
                 m[p] = f"{k}:{comp.labels[p]}"
                 labels.append(m[p])
         maps.append(m)
-    if len(labels) > TOTAL_SIZE_CAP:
-        raise BoundExceeded(f"horizontal sum has {len(labels)} elements (cap 64)")
+    if len(labels) > MAX_CARRIER:
+        raise BoundExceeded(
+            f"horizontal sum has {len(labels)} elements (cap {MAX_CARRIER})"
+        )
     sums = []
     for comp, m in zip(components, maps):
         for p in comp.elements():
@@ -122,8 +124,8 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     size = 1
     for comp in components:
         size *= comp.size
-    if size > TOTAL_SIZE_CAP:
-        raise BoundExceeded(f"product has {size} elements (cap 64)")
+    if size > MAX_CARRIER:
+        raise BoundExceeded(f"product has {size} elements (cap {MAX_CARRIER})")
 
     def label(tup):
         return "(" + ",".join(c.labels[p] for c, p in zip(components, tup)) + ")"
@@ -161,7 +163,9 @@ def build_spec(text: str) -> FiniteEffectAlgebra:
     return expr
 
 
-def _parse(text: str):
+def _parse(text: str, depth: int = 1):
+    if depth > MAX_SPEC_DEPTH:
+        raise BoundExceeded(f"catalog spec nests deeper than {MAX_SPEC_DEPTH} levels")
     text = text.lstrip()
     name_end = 0
     while name_end < len(text) and (text[name_end].isalnum() or text[name_end] == "_"):
@@ -185,7 +189,7 @@ def _parse(text: str):
                 args.append(int(rest[:num_end]))
                 rest = rest[num_end:]
             else:
-                sub, rest = _parse(rest)
+                sub, rest = _parse(rest, depth + 1)
                 args.append(sub)
             rest = rest.lstrip()
             if rest.startswith(","):

@@ -17,8 +17,6 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_ABORTED = 3
 
-DEFAULT_SEED = 20260823
-
 
 def _load(path: str) -> algebra.FiniteEffectAlgebra:
     try:
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hidden", help="hidden-variable model construction")
     common(p)
     p.add_argument("--parts", help="comma-separated part labels for the decomposition")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=mv.DEFAULT_SEED)
     p.add_argument(
         "--budget",
         type=int,

@@ -18,11 +18,9 @@ from .algebra import (
     FiniteEffectAlgebra,
     NotAnOrthoalgebra,
     are_compatible,
-    atoms,
     derive_order,
     is_boolean,
     is_orthoalgebra,
-    meet,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -95,25 +93,18 @@ def find_cloning_bimorphism(
     start = time.perf_counter()
     n = alg.size
     sumt = alg.table
-    lo = derive_order(alg).leq
-
-    # sub[x][z] = the unique y with x + y = z (cancellativity), else None
-    sub: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            z = sumt[x][y]
-            if z is not None:
-                sub[x][z] = y
+    order = derive_order(alg)
+    lo = order.leq
+    sub = order.difference
 
     orth_pairs = [
         (a, b) for a in range(n) for b in range(a, n) if sumt[a][b] is not None
     ]
 
-    ats = atoms(alg)
     branch_cells: list[tuple[int, int]] = []
     seen = set()
-    for p in ats:
-        for q in ats:
+    for p in order.atoms:
+        for q in order.atoms:
             branch_cells.append((p, q))
             seen.add((p, q))
     for p in range(n):
@@ -276,10 +267,7 @@ def meet_witness(alg: FiniteEffectAlgebra) -> CloningWitness:
     """The meet-table witness c(p, q) = p /\\ q, available on Boolean algebras."""
     if not is_boolean(alg):
         raise NotBoolean("the meet witness exists only on Boolean algebras")
-    n = alg.size
-    table = tuple(
-        tuple(meet(alg, p, q) for q in range(n)) for p in range(n)
-    )
+    table = derive_order(alg).meet
     witness = CloningWitness(algebra=alg, table=table)
     ok, violation = verify_witness(alg, table)
     if not ok:

@@ -13,9 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, FiniteEffectAlgebra, find_isomorphism, validate
 from .catalog import boolean_powerset
-from .mv import SampledMV
-
-DEFAULT_SEED = 20260823
+from .mv import DEFAULT_SEED, SampledMV
 
 
 def _as_unit_fraction(x) -> Fraction:

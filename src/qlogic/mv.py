@@ -211,6 +211,7 @@ class HiddenVariableModel:
     decomposition: tuple[ElementId, ...]
     mv: FiniteMV
     h: dict  # ElementId -> tuple of interval ElementIds
+    induced: FiniteEffectAlgebra  # effect_algebra_of_mv(mv), built once
 
     def to_json_dict(self) -> dict:
         labels = self.algebra.labels
@@ -245,14 +246,9 @@ def interval_mv(alg: FiniteEffectAlgebra, p: ElementId) -> FiniteMV:
         for y in interval:
             s = alg.table[x][y]
             plus_map[(x, y)] = s if s is not None and s in iset else p
-    neg_map = {}
-    for x in interval:
-        z = next((z for z in interval if alg.table[x][z] == p), None)
-        if z is None:
-            raise ConstructionFailed(
-                f"no complement of {alg.labels[x]} inside [0, {alg.labels[p]}]"
-            )
-        neg_map[x] = z
+    # the complement p - x of each x <= p lies in [0, p]
+    difference = derive_order(alg).difference
+    neg_map = {x: difference[x][p] for x in interval}
     return FiniteMV(
         elements=tuple(interval),
         plus_map=plus_map,
@@ -332,19 +328,19 @@ def hidden_variable_construct(
                         f"h is not additive on ({alg.labels[x]}, {alg.labels[y]})"
                     )
     return HiddenVariableModel(
-        algebra=alg, witness=witness, decomposition=parts, mv=mv, h=h
+        algebra=alg, witness=witness, decomposition=parts, mv=mv, h=h,
+        induced=effect_algebra_of_mv(mv),
     )
 
 
 def order_reflection_holds(model: HiddenVariableModel) -> bool:
     """x <= y' in the source iff h(x) <= h(y)' in the MV order, exhaustively."""
     alg = model.algebra
-    lo = derive_order(alg).leq
-    supp = derive_order(alg).supplement
+    order = derive_order(alg)
     mv, h = model.mv, model.h
     for x in alg.elements():
         for y in alg.elements():
-            src = lo[x][supp[y]]
+            src = order.leq[x][order.supplement[y]]
             tgt = mv.leq(h[x], mv.neg(h[y]))
             if src != tgt:
                 return False
@@ -377,9 +373,8 @@ def check_lifted_state(model: HiddenVariableModel, omega, omega_bar) -> list[str
             violations.append(
                 f"lifted state disagrees with the source state at {alg.labels[q]}"
             )
-    induced = effect_algebra_of_mv(model.mv)
     values = [omega_bar[e] for e in model.mv.elements]
-    for msg in check_state(induced, values):
+    for msg in check_state(model.induced, values):
         violations.append(f"lift is not a state on the MV effect algebra: {msg}")
     return violations
 

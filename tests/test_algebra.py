@@ -1,8 +1,12 @@
 """Core algebra layer: validation, derived order, structural predicates."""
 
+import gc
+import weakref
+
 import pytest
 
 from qlogic import catalog
+from qlogic.cloning import find_cloning_bimorphism
 from qlogic.algebra import (
     AssociativityViolation,
     CommutativityViolation,
@@ -405,6 +409,68 @@ def test_boolean_deciders_agree_on_fuzz():
     # is_boolean raises internally if the two deciders disagree
     for alg in random_algebras(seed=202, count=30, max_size=16):
         is_boolean(alg)
+
+
+# ---------------------------------------------------------------------------
+# the derived-structure record against brute-force oracles
+
+
+def record_suite():
+    return catalog_suite() + random_algebras(seed=202, count=30, max_size=16)
+
+
+def brute_meet(alg, p, q):
+    """Scan the common lower bounds for one above all the others."""
+    lo = derive_order(alg).leq
+    lower = [r for r in alg.elements() if lo[r][p] and lo[r][q]]
+    for m in lower:
+        if all(lo[r][m] for r in lower):
+            return m
+    return None
+
+
+def brute_join(alg, p, q):
+    """Scan the common upper bounds for one below all the others."""
+    lo = derive_order(alg).leq
+    upper = [r for r in alg.elements() if lo[p][r] and lo[q][r]]
+    for m in upper:
+        if all(lo[m][r] for r in upper):
+            return m
+    return None
+
+
+def test_meet_join_tables_match_brute_force():
+    for alg in record_suite():
+        order = derive_order(alg)
+        for p in alg.elements():
+            for q in alg.elements():
+                assert order.meet[p][q] == brute_meet(alg, p, q)
+                assert order.join[p][q] == brute_join(alg, p, q)
+
+
+def test_incompatible_pairs_match_are_compatible():
+    for alg in record_suite():
+        expected = tuple(
+            (p, q)
+            for p in alg.elements()
+            for q in range(p + 1, alg.size)
+            if are_compatible(alg, p, q) == []
+        )
+        assert incompatible_pairs(alg) == expected
+
+
+def test_algebra_collected_after_use():
+    # derived structures live on the instance, not in a process-wide cache;
+    # labels no other test uses, so no equal algebra was built before
+    labels = ["0", "w", "w'", "1"]
+    sums = [["0", x, x] for x in labels] + [["w", "w'", "1"]]
+    alg = validate(labels, "0", "1", sums)
+    structure_report(alg)
+    find_cloning_bimorphism(alg)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 def test_isomorphism_search_positive_and_negative():

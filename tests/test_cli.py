@@ -1,10 +1,15 @@
 """Command-line interface: one path per command, exit codes, report schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qlogic
 from qlogic import catalog
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import REPORT_SCHEMA
@@ -167,6 +172,37 @@ def test_catalog_output_file(capsys, tmp_path):
 def test_catalog_bad_spec(capsys):
     code, _ = run(capsys, "catalog", "mystery(9)", "--format", "json")
     assert code == EXIT_BAD_INPUT
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught error prints a traceback."""
+    src = str(Path(qlogic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qlogic.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("sums", [[5], [[["x"], "0", "1"]]])
+def test_validate_malformed_sum_entry(tmp_path, sums):
+    path = tmp_path / "bad.json"
+    doc = {"elements": ["0", "1"], "zero": "0", "unit": "1", "sums": sums}
+    path.write_text(json.dumps(doc))
+    proc = run_process("validate", str(path), "--format", "json")
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert last_json(proc.stdout)["results"]["valid"] is False
+
+
+def test_catalog_deeply_nested_spec():
+    proc = run_process("catalog", "product(" * 1200, "--format", "json")
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "nests deeper" in last_json(proc.stdout)["results"]["error"]
 
 
 def test_text_format_renders(capsys, bp2_file):
