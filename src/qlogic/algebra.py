@@ -203,7 +203,9 @@ def from_json_dict(doc: dict, max_size: int = MAX_CARRIER) -> FiniteEffectAlgebr
 def from_json(text: str, max_size: int = MAX_CARRIER) -> FiniteEffectAlgebra:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's digit
+        # limit; RecursionError is how json reports too deep a nesting
         raise MalformedTable(f"invalid JSON: {exc}") from exc
     return from_json_dict(doc, max_size)
 

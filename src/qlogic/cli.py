@@ -18,13 +18,14 @@ EXIT_BAD_INPUT = 2
 EXIT_ABORTED = 3
 
 
-def _load(path: str) -> algebra.FiniteEffectAlgebra:
+def _read(path: str) -> tuple[str, str]:
+    """The input file's digest and UTF-8 text; MalformedTable if unreadable."""
     try:
+        digest = reports.digest_file(path)
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return digest, handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise algebra.MalformedTable(f"cannot read {path}: {exc}") from exc
-    return algebra.from_json(text)
 
 
 def _print(doc: dict, fmt: str) -> None:
@@ -34,8 +35,8 @@ def _print(doc: dict, fmt: str) -> None:
 def cmd_validate(args) -> int:
     results: dict = {}
     try:
-        digest = reports.digest_file(args.file)
-        _load(args.file)
+        digest, text = _read(args.file)
+        algebra.from_json(text)
     except algebra.ValidationError as exc:
         results = {
             "valid": False,
@@ -60,8 +61,8 @@ def cmd_validate(args) -> int:
 
 def _load_or_report(args, command):
     try:
-        digest = reports.digest_file(args.file)
-        return _load(args.file), digest, None
+        digest, text = _read(args.file)
+        return algebra.from_json(text), digest, None
     except algebra.ValidationError as exc:
         doc = reports.make_report(
             command, None, None, {"error": f"{type(exc).__name__}: {exc}"}
@@ -215,8 +216,15 @@ def cmd_catalog(args) -> int:
         return EXIT_BAD_INPUT
     text = alg.to_json()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            doc = reports.make_report(
+                "catalog", None, None, {"error": f"cannot write {args.output}: {exc}"}
+            )
+            _print(doc, args.format)
+            return EXIT_BAD_INPUT
         doc = reports.make_report(
             "catalog",
             None,

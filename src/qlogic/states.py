@@ -1,10 +1,17 @@
 """Exact-rational state polytopes of finite effect algebras.
 
 A state assigns each element a rational in [0, 1], additively over the
-partial sum, with value 1 on the unit.  The state space is the polytope cut
-out by those equalities and the nonnegativity inequalities; vertices are
-enumerated by solving every maximal-rank subsystem with active nonnegativity
-constraints, entirely over Fractions.
+partial sum, with value 1 on the unit.  Every element of a finite effect
+algebra is a sum of atoms, so a state is fixed by its weights on the atoms:
+``v[x] = dec[x] . w`` where ``dec[x]`` counts the atoms in one decomposition
+of x.  The state polytope is therefore the polytope of atom weights w >= 0
+(nonnegativity on atoms gives it everywhere, since ``dec >= 0``) with
+``(dec[a] + dec[b] - dec[c]) . w = 0`` for every ``a + b = c`` and
+``dec[1] . w = 1`` (Greechie's atom-weight view of states), mapped onto the
+element-coordinate polytope by w -> dec . w.  That equality system is
+reduced once; each vertex then solves the small system that one choice of
+zero atoms leaves in the reduced system's free variables, entirely over
+Fractions, and is mapped back to all elements.
 """
 
 from __future__ import annotations
@@ -91,8 +98,31 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]] 
     return mat[:r], pivots
 
 
+def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
+    """``dec[x]``: atom multiplicities of one decomposition of x into atoms.
+
+    Walks up from zero adding one atom at a time; ``dec[x][i]`` counts
+    ``atoms[i]``.  Every element is reached: a nonzero x lies above some atom
+    a, and x = (x - a) + a with x - a strictly below x.
+    """
+    atoms = derive_order(alg).atoms
+    dec: list[tuple[int, ...] | None] = [None] * alg.size
+    dec[alg.zero] = (0,) * len(atoms)
+    frontier = [alg.zero]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for i, a in enumerate(atoms):
+                y = alg.table[x][a]
+                if y is not None and dec[y] is None:
+                    dec[y] = dec[x][:i] + (dec[x][i] + 1,) + dec[x][i + 1 :]
+                    reached.append(y)
+        frontier = reached
+    return dec
+
+
 def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
-    """Exact vertex enumeration of the state polytope.
+    """Exact vertex enumeration of the state polytope, in atom coordinates.
 
     Raises EmptyStateSpace when the algebra admits no states.
     """
@@ -102,36 +132,48 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
             f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
             f"elements, got {n}"
         )
-    eqs = state_constraints(alg)
-    aug = [list(row) + [rhs] for row, rhs in eqs]
-    reduced = _rref(aug)
+    dec = atom_decompositions(alg)
+    m = len(dec[alg.zero])
+    rows = {dec[alg.unit] + (1,)}
+    for a in alg.elements():
+        for b in range(a, n):
+            c = alg.table[a][b]
+            if c is not None:
+                row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
+                if any(row):
+                    rows.add(row + (0,))
+    reduced = _rref([[Fraction(x) for x in row] for row in rows])
     if reduced is None:
         raise EmptyStateSpace("the additivity constraints are inconsistent")
     base_rows, pivots = reduced
-    k = n - len(pivots)
+    free = [col for col in range(m) if col not in pivots]
 
-    vertices = set()
-    for zeros in combinations(range(n), k):
-        system = [row[:] for row in base_rows]
-        for i in zeros:
-            row = [Fraction(0)] * (n + 1)
-            row[i] = Fraction(1)
-            system.append(row)
-        solved = _rref(system)
-        if solved is None:
+    # A vertex has k = len(free) zero atoms.  Zeroing a pivot atom turns its
+    # row into an equation over the free atoms left nonzero; as many free
+    # atoms stay nonzero as pivot atoms are zeroed, so the system is square.
+    weights = set()
+    for zeros in combinations(range(m), len(free)):
+        rows_zeroed = [row for row, col in zip(base_rows, pivots) if col in zeros]
+        basic = [col for col in free if col not in zeros]
+        solved = _rref([[row[c] for c in basic] + [row[-1]] for row in rows_zeroed])
+        if solved is None or len(solved[1]) < len(basic):
             continue
-        rows, pivs = solved
-        if len(pivs) < n:
-            continue
-        point = [Fraction(0)] * n
-        for row, col in zip(rows, pivs):
-            point[col] = row[-1]
-        if all(x >= 0 for x in point):
-            vertices.add(tuple(point))
+        w = [Fraction(0)] * m
+        for row, j in zip(*solved):
+            w[basic[j]] = row[-1]
+        for row, col in zip(base_rows, pivots):
+            w[col] = row[-1] - sum(row[c] * w[c] for c in basic)
+        if all(x >= 0 for x in w):
+            weights.add(tuple(w))
 
-    if not vertices:
+    if not weights:
         raise EmptyStateSpace("the state polytope is empty")
-    verts = tuple(sorted(vertices))
+    verts = tuple(
+        sorted(
+            tuple(sum((c * x for c, x in zip(d, w) if c), Fraction(0)) for d in dec)
+            for w in weights
+        )
+    )
     return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
 
 

@@ -1,13 +1,18 @@
 """Command-line interface: one path per command, exit codes, report schema."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlogic
 from qlogic import catalog
@@ -203,6 +208,80 @@ def test_catalog_deeply_nested_spec():
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "nests deeper" in last_json(proc.stdout)["results"]["error"]
+
+
+def test_catalog_unwritable_output(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_process("catalog", "chain(2)", "-o", str(target), "--format", "json")
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "cannot write" in last_json(proc.stdout)["results"]["error"]
+
+
+def _bad_input_file(tmp_path, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    elif kind == "huge-integer":
+        path.write_text("1" * 5000)
+    elif kind == "deep-nesting":
+        path.write_text("[" * 100000 + "]" * 100000)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize(
+    "kind", ["missing", "directory", "not-utf8", "huge-integer", "deep-nesting"]
+)
+def test_bad_input_file_exits_2(tmp_path, command, kind):
+    proc = run_process(command, _bad_input_file(tmp_path, kind), "--format", "json")
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "error" in last_json(proc.stdout)["results"]
+
+
+report_validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=10,
+)
+labels = st.sampled_from(["0", "a", "b", "1"])
+# the four keys, with values drawn from anything or from near-valid shapes
+algebra_documents = st.fixed_dictionaries(
+    {
+        "elements": json_values | st.lists(labels, max_size=5),
+        "zero": json_values | labels,
+        "unit": json_values | labels,
+        "sums": json_values
+        | st.lists(st.lists(labels | json_values, min_size=2, max_size=4), max_size=8),
+    }
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    content=(json_values | algebra_documents).map(lambda doc: json.dumps(doc).encode())
+    | st.binary(max_size=16),
+    command=st.sampled_from(["validate", "analyze"]),
+)
+def test_exit_code_contract_on_arbitrary_input(content, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, path, "--format", "json"])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT)
+    report_validator.validate(json.loads(out.getvalue()))
 
 
 def test_text_format_renders(capsys, bp2_file):

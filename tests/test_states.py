@@ -1,6 +1,7 @@
 """State constraints, exact vertex enumeration, and separation."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,12 +9,84 @@ from qlogic import catalog
 from qlogic.algebra import derive_order
 from qlogic.fuzz import random_algebras
 from qlogic.states import (
+    EmptyStateSpace,
+    StatePolytope,
+    _affine_dim,
+    _rref,
+    atom_decompositions,
     check_state,
     enumerate_vertex_states,
     is_separating,
     monotone_under,
     state_constraints,
 )
+from test_algebra import catalog_suite
+
+
+def full_coordinate_vertex_states(alg):
+    """Oracle: the state polytope's vertices in element coordinates.
+
+    Solves, with one full RREF each, every choice of k = n - rank elements
+    set to zero alongside the n-variable additivity constraints, so it does
+    not rely on atom decompositions.  It costs C(n, k) eliminations of
+    n x (n + 1) systems, so keep n small.
+    """
+    n = alg.size
+    aug = [list(row) + [rhs] for row, rhs in state_constraints(alg)]
+    reduced = _rref(aug)
+    if reduced is None:
+        raise EmptyStateSpace("the additivity constraints are inconsistent")
+    base_rows, pivots = reduced
+    vertices = set()
+    for zeros in combinations(range(n), n - len(pivots)):
+        system = [row[:] for row in base_rows]
+        for i in zeros:
+            row = [Fraction(0)] * (n + 1)
+            row[i] = Fraction(1)
+            system.append(row)
+        solved = _rref(system)
+        if solved is None or len(solved[1]) < n:
+            continue
+        point = [Fraction(0)] * n
+        for row, col in zip(*solved):
+            point[col] = row[-1]
+        if all(x >= 0 for x in point):
+            vertices.add(tuple(point))
+    if not vertices:
+        raise EmptyStateSpace("the state polytope is empty")
+    verts = tuple(sorted(vertices))
+    return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
+
+
+def _polytope_or_message(enumerate_states, alg):
+    try:
+        return enumerate_states(alg)
+    except EmptyStateSpace as exc:
+        return str(exc)
+
+
+def oracle_algebras():
+    suite = [alg for alg in catalog_suite() if alg.size <= 16]
+    for seed in (1, 7, 202):
+        suite += random_algebras(seed=seed, count=100)
+    return suite
+
+
+def test_atom_coordinates_match_full_coordinate_oracle():
+    for alg in oracle_algebras():
+        assert _polytope_or_message(enumerate_vertex_states, alg) == (
+            _polytope_or_message(full_coordinate_vertex_states, alg)
+        ), alg.labels
+
+
+def test_every_element_has_an_atom_decomposition():
+    for alg in oracle_algebras():
+        atoms = derive_order(alg).atoms
+        dec = atom_decompositions(alg)
+        assert None not in dec, alg.labels
+        assert dec[alg.zero] == (0,) * len(atoms)
+        for i, a in enumerate(atoms):
+            assert dec[a] == tuple(int(j == i) for j in range(len(atoms)))
 
 
 def test_chain2_forces_half():
@@ -42,13 +115,27 @@ def test_mo2_four_vertices():
     ]
 
 
-@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
 def test_powerset_vertices_dispersion_free(k):
     alg = catalog.boolean_powerset(k)
     poly = enumerate_vertex_states(alg)
     assert len(poly.vertices) == k
+    assert poly.affine_dimension == k - 1
     for v in poly.vertices:
         assert all(x in (0, 1) for x in v)
+
+
+def test_mo6_vertices_are_the_64_corners():
+    # mo(6) pastes six 4-element blocks {0, ai, ai', 1}: a state picks each
+    # v(ai) in [0, 1] independently, so the polytope is the 6-cube
+    alg = catalog.mo(6)
+    poly = enumerate_vertex_states(alg)
+    assert len(poly.vertices) == 64
+    assert poly.affine_dimension == 6
+    corners = {tuple(v[alg.index(f"a{i}")] for i in range(1, 7)) for v in poly.vertices}
+    assert corners == {
+        tuple(Fraction(b >> i & 1) for i in range(6)) for b in range(64)
+    }
 
 
 def test_constraint_rows_mention_unit():
