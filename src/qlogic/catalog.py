@@ -145,13 +145,14 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
 # ---------------------------------------------------------------------------
 # Spec strings for the CLI: e.g. "chain(3)", "product(chain(2),chain(2))"
 
+# name -> (constructor, the type every argument must have)
 _CONSTRUCTORS = {
-    "boolean_powerset": boolean_powerset,
-    "chain": chain,
-    "mo": mo,
-    "wright_triangle": wright_triangle,
-    "horizontal_sum": horizontal_sum,
-    "product": product,
+    "boolean_powerset": (boolean_powerset, int),
+    "chain": (chain, int),
+    "mo": (mo, int),
+    "wright_triangle": (wright_triangle, int),
+    "horizontal_sum": (horizontal_sum, FiniteEffectAlgebra),
+    "product": (product, FiniteEffectAlgebra),
 }
 
 
@@ -182,11 +183,16 @@ def _parse(text: str, depth: int = 1):
             if rest.startswith(")"):
                 rest = rest[1:]
                 break
-            if rest[:1].isdigit():
+            if rest[:1].isdecimal():
                 num_end = 0
-                while num_end < len(rest) and rest[num_end].isdigit():
+                while num_end < len(rest) and rest[num_end].isdecimal():
                     num_end += 1
-                args.append(int(rest[:num_end]))
+                try:
+                    args.append(int(rest[:num_end]))
+                except ValueError:  # past Python's integer digit limit
+                    raise BoundExceeded(
+                        f"catalog argument with {num_end} digits is out of range"
+                    ) from None
                 rest = rest[num_end:]
             else:
                 sub, rest = _parse(rest, depth + 1)
@@ -194,4 +200,8 @@ def _parse(text: str, depth: int = 1):
             rest = rest.lstrip()
             if rest.startswith(","):
                 rest = rest[1:]
-    return _CONSTRUCTORS[name](*args), rest
+    build, kind = _CONSTRUCTORS[name]
+    if not all(isinstance(arg, kind) for arg in args):
+        expected = "integers" if kind is int else "algebras"
+        raise BoundExceeded(f"{name} takes {expected} as arguments")
+    return build(*args), rest

@@ -8,6 +8,7 @@ Exit codes: 0 success / property holds, 1 property fails or no witness,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import algebra, catalog, cloning, mv, reports, states
@@ -28,8 +29,35 @@ def _read(path: str) -> tuple[str, str]:
         raise algebra.MalformedTable(f"cannot read {path}: {exc}") from exc
 
 
+def _write(text: str) -> None:
+    """Print to stdout; if the reader has gone, drop the output and go on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout stays broken: point it at devnull so that the flush at
+        # interpreter exit cannot raise again, and keep the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print(doc: dict, fmt: str) -> None:
-    print(reports.emit(doc, fmt))
+    _write(reports.emit(doc, fmt))
+
+
+def _split_parts(text: str) -> list[str]:
+    """Split on the commas outside (), {} and [], which labels may contain."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def cmd_validate(args) -> int:
@@ -177,7 +205,7 @@ def cmd_hidden(args) -> int:
 
     if args.parts:
         try:
-            parts = tuple(alg.index(lbl) for lbl in args.parts.split(","))
+            parts = tuple(alg.index(lbl) for lbl in _split_parts(args.parts))
         except algebra.MalformedTable as exc:
             doc = reports.make_report("hidden", digest, args.seed, {"error": str(exc)})
             _print(doc, args.format)
@@ -233,7 +261,7 @@ def cmd_catalog(args) -> int:
         )
         _print(doc, args.format)
     else:
-        print(text)
+        _write(text)
     return EXIT_OK
 
 
@@ -277,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hidden", help="hidden-variable model construction")
     common(p)
-    p.add_argument("--parts", help="comma-separated part labels for the decomposition")
+    p.add_argument(
+        "--parts",
+        help="comma-separated part labels for the decomposition; commas "
+        "inside (), {} or [] belong to a label",
+    )
     p.add_argument("--seed", type=int, default=mv.DEFAULT_SEED)
     p.add_argument(
         "--budget",

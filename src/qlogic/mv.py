@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
+from operator import mul
 
 from .algebra import (
     AlgebraError,
@@ -347,10 +348,10 @@ def order_reflection_holds(model: HiddenVariableModel) -> bool:
     return True
 
 
-def lift_state(model: HiddenVariableModel, omega) -> dict:
-    """The lifted state on the MV carrier: value at (x_n) is omega(sum of x_n)."""
+def _lift_index(model: HiddenVariableModel) -> list[ElementId]:
+    """For each MV element, in carrier order, the source sum of its components."""
     alg = model.algebra
-    out = {}
+    out = []
     for m in model.mv.elements:
         acc = alg.zero
         for x in m:
@@ -360,12 +361,23 @@ def lift_state(model: HiddenVariableModel, omega) -> dict:
                     "component tuple is not orthosummable in the source algebra"
                 )
             acc = nxt
-        out[m] = omega[acc]
+        out.append(acc)
     return out
 
 
-def check_lifted_state(model: HiddenVariableModel, omega, omega_bar) -> list[str]:
-    """Hidden-variable conditions for one state and one candidate lift."""
+def lift_state(model: HiddenVariableModel, omega) -> dict:
+    """The lifted state on the MV carrier: value at (x_n) is omega(sum of x_n)."""
+    return {m: omega[x] for m, x in zip(model.mv.elements, _lift_index(model))}
+
+
+def check_lifted_state(
+    model: HiddenVariableModel, omega, omega_bar, scale=1
+) -> list[str]:
+    """Hidden-variable conditions for one state and one candidate lift.
+
+    omega and omega_bar may both be scaled by a common positive factor; scale
+    is then the value a state takes at the unit.
+    """
     violations = []
     alg = model.algebra
     for q in alg.elements():
@@ -374,7 +386,7 @@ def check_lifted_state(model: HiddenVariableModel, omega, omega_bar) -> list[str
                 f"lifted state disagrees with the source state at {alg.labels[q]}"
             )
     values = [omega_bar[e] for e in model.mv.elements]
-    for msg in check_state(model.induced, values):
+    for msg in check_state(model.induced, values, scale):
         violations.append(f"lift is not a state on the MV effect algebra: {msg}")
     return violations
 
@@ -405,24 +417,35 @@ def verify_hidden_variable(
     mixtures: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> HiddenVariableReport:
-    """Check the lift conditions on every vertex state plus random mixtures."""
-    violations: list[str] = []
-    states = [list(v) for v in polytope.vertices]
+    """Check the lift conditions on every vertex state plus random mixtures.
+
+    The arithmetic is on integers: with L the common denominator of the
+    vertices, vertex V is the int vector L*V at scale L, and the mixture with
+    weights w is sum(w_i * L*V_i) at scale L*sum(w).  Every condition is
+    homogeneous, so it is checked on the scaled vector, "value 1 at the unit"
+    becoming "value scale at the unit".
+    """
+    common = lcm(*(x.denominator for v in polytope.vertices for x in v))
+    vertices = [
+        [x.numerator * (common // x.denominator) for x in v]
+        for v in polytope.vertices
+    ]
+    states = [(v, common) for v in vertices]
     rng = random.Random(seed)
     n_mix = 0
-    if len(polytope.vertices) >= 1:
+    if vertices:
+        columns = list(zip(*vertices))
         for _ in range(mixtures):
-            weights = [Fraction(rng.randint(1, 12)) for _ in polytope.vertices]
-            total = sum(weights)
-            mixed = [
-                sum(w * v[p] for w, v in zip(weights, polytope.vertices)) / total
-                for p in model.algebra.elements()
-            ]
-            states.append(mixed)
+            weights = [rng.randint(1, 12) for _ in vertices]
+            mixed = [sum(map(mul, weights, column)) for column in columns]
+            states.append((mixed, common * sum(weights)))
             n_mix += 1
-    for omega in states:
-        omega_bar = lift_state(model, omega)
-        violations.extend(check_lifted_state(model, omega, omega_bar))
+    violations: list[str] = []
+    if states:
+        lift = _lift_index(model)
+        for omega, scale in states:
+            omega_bar = dict(zip(model.mv.elements, [omega[x] for x in lift]))
+            violations.extend(check_lifted_state(model, omega, omega_bar, scale))
     reflection = order_reflection_holds(model)
     if not reflection:
         violations.append("order reflection of h fails")

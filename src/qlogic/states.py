@@ -204,10 +204,15 @@ def is_separating(
     return not merged, merged
 
 
-def check_state(alg: FiniteEffectAlgebra, values) -> list[str]:
-    """Violations of the state axioms for an explicit value assignment."""
+def check_state(alg: FiniteEffectAlgebra, values, scale=1) -> list[str]:
+    """Violations of the state axioms for an explicit value assignment.
+
+    The axioms are homogeneous, so values may be a state multiplied by a
+    positive scale (integers at a common denominator, say); the unit must
+    then take the value scale.
+    """
     out = []
-    if values[alg.unit] != 1:
+    if values[alg.unit] != scale:
         out.append("value at the unit is not 1")
     for p in alg.elements():
         if values[p] < 0:

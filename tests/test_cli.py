@@ -150,6 +150,32 @@ def test_hidden_with_explicit_parts(capsys, bp2_file):
     ]
 
 
+@pytest.fixture
+def p11_file(tmp_path):
+    path = tmp_path / "p11.json"
+    path.write_text(
+        catalog.product(catalog.boolean_powerset(1), catalog.boolean_powerset(1)).to_json()
+    )
+    return str(path)
+
+
+def test_hidden_parts_with_commas_in_labels(capsys, p11_file):
+    # product labels contain commas inside their parentheses and braces
+    code, out = run(
+        capsys, "hidden", p11_file, "--format", "json", "--parts", "({1},{}),({},{1})"
+    )
+    assert code == EXIT_OK
+    assert last_json(out)["results"]["model"]["decomposition"] == ["({1},{})", "({},{1})"]
+
+
+def test_hidden_unknown_part_label(capsys, p11_file):
+    code, out = run(
+        capsys, "hidden", p11_file, "--format", "json", "--parts", "({1},{}),({},{2})"
+    )
+    assert code == EXIT_BAD_INPUT
+    assert last_json(out)["results"]["error"] == "unknown element label '({},{2})'"
+
+
 def test_hidden_hypothesis_unmet(capsys, mo2_file):
     code, out = run(capsys, "hidden", mo2_file, "--format", "json")
     assert code == EXIT_FAIL
@@ -179,13 +205,30 @@ def test_catalog_bad_spec(capsys):
     assert code == EXIT_BAD_INPUT
 
 
-def run_process(*argv):
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param("chain(\u00b2)", id="digit-int-cannot-read"),
+        pytest.param("chain(" + "9" * 5000 + ")", id="past-int-digit-limit"),
+        pytest.param("horizontal_sum(chain(2),2)", id="integer-for-algebra"),
+        pytest.param("product(2,3)", id="integers-for-algebras"),
+        pytest.param("chain(chain(2))", id="algebra-for-integer"),
+    ],
+)
+def test_catalog_spec_with_bad_arguments(capsys, spec):
+    code, out = run(capsys, "catalog", spec, "--format", "json")
+    assert code == EXIT_BAD_INPUT
+    assert "error" in last_json(out)["results"]
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so an uncaught error prints a traceback."""
     src = str(Path(qlogic.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qlogic.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
@@ -216,6 +259,19 @@ def test_catalog_unwritable_output(tmp_path):
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "cannot write" in last_json(proc.stdout)["results"]["error"]
+
+
+def test_closed_stdout_exits_quietly(bp2_file):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process("hidden", bp2_file, "--format", "json", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_ABORTED)
 
 
 def _bad_input_file(tmp_path, kind):
@@ -280,6 +336,58 @@ def test_exit_code_contract_on_arbitrary_input(content, command):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main([command, path, "--format", "json"])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT)
+    report_validator.validate(json.loads(out.getvalue()))
+
+
+constructor_names = st.sampled_from(sorted(catalog._CONSTRUCTORS))
+numbers = st.sampled_from(["0", "1", "2", "3", "5", "12", "99"])
+junk = st.text(max_size=2)
+# token soup with junk, and well-formed constructor calls nested over numbers
+catalog_specs = st.lists(
+    constructor_names | numbers | st.sampled_from(["(", ")", ","]) | junk, max_size=12
+).map("".join) | st.recursive(
+    numbers,
+    lambda args: st.builds(
+        lambda name, inner: f"{name}({','.join(inner)})",
+        constructor_names,
+        st.lists(args, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spec=catalog_specs)
+def test_catalog_exit_code_contract(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            target = os.path.join(tmp, "a.json")
+            code = main(["catalog", "-o", target, "--format", "json", "--", spec])
+    assert code in (EXIT_OK, EXIT_BAD_INPUT)
+    report_validator.validate(json.loads(out.getvalue()))
+
+
+bp2_labels = st.sampled_from(["{}", "{1}", "{2}", "{1,2}"])
+# label lists, and token soup with brackets and junk
+parts_strings = st.lists(bp2_labels, min_size=1, max_size=4).map(",".join) | st.lists(
+    bp2_labels | st.sampled_from([",", "(", ")", "{", "}", "[", "]"]) | junk,
+    min_size=1,
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(parts=parts_strings)
+def test_hidden_parts_exit_code_contract(parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bp2.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(catalog.boolean_powerset(2).to_json())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["hidden", path, "--parts", parts, "--format", "json"])
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT)
     report_validator.validate(json.loads(out.getvalue()))
 

@@ -1,5 +1,7 @@
 """MV axioms, the induced effect algebra, and hidden-variable models."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,12 @@ import pytest
 from qlogic import catalog
 from qlogic.algebra import find_isomorphism
 from qlogic.cloning import find_cloning_bimorphism, meet_witness
+from qlogic.fuzz import random_algebras
 from qlogic.mv import (
+    DEFAULT_SEED,
     ConstructionFailed,
     FiniteMV,
+    HiddenVariableReport,
     check_lifted_state,
     check_mv_axioms,
     effect_algebra_of_mv,
@@ -22,7 +27,8 @@ from qlogic.mv import (
     product_mv,
     verify_hidden_variable,
 )
-from qlogic.states import enumerate_vertex_states
+from qlogic.states import StatePolytope, enumerate_vertex_states
+from test_algebra import catalog_suite
 
 
 def luka_chain(steps):
@@ -226,3 +232,108 @@ def test_construction_serialization():
     assert sorted(doc["decomposition"]) == ["{1}", "{2}"]
     assert len(doc["h"]) == alg.size
     assert all(len(img) == 2 for img in doc["h"].values())
+
+
+def fraction_verify_hidden_variable(
+    model, polytope, mixtures=100, seed=DEFAULT_SEED
+):
+    """Oracle: verify_hidden_variable over Fractions, one lift per state.
+
+    Each mixture is divided out to a Fraction state, lifted with lift_state
+    and checked with check_lifted_state, with no common denominator.
+    """
+    violations = []
+    states = [list(v) for v in polytope.vertices]
+    rng = random.Random(seed)
+    n_mix = 0
+    if len(polytope.vertices) >= 1:
+        for _ in range(mixtures):
+            weights = [Fraction(rng.randint(1, 12)) for _ in polytope.vertices]
+            total = sum(weights)
+            mixed = [
+                sum(w * v[p] for w, v in zip(weights, polytope.vertices)) / total
+                for p in model.algebra.elements()
+            ]
+            states.append(mixed)
+            n_mix += 1
+    for omega in states:
+        omega_bar = lift_state(model, omega)
+        violations.extend(check_lifted_state(model, omega, omega_bar))
+    reflection = order_reflection_holds(model)
+    if not reflection:
+        violations.append("order reflection of h fails")
+    return HiddenVariableReport(
+        passed=not violations,
+        states_checked=len(polytope.vertices),
+        mixtures_checked=n_mix,
+        order_reflection=reflection,
+        violations=tuple(violations),
+        seed=seed,
+    )
+
+
+def hidden_variable_models(algebras, limit=None):
+    """(model, polytope) for each algebra with a witness and a decomposition."""
+    out = []
+    for alg in algebras:
+        outcome = find_cloning_bimorphism(alg)
+        decomps = find_chain_decomposition(alg) if outcome.witnesses else []
+        if decomps:
+            model = hidden_variable_construct(alg, outcome.witnesses[0], decomps[0])
+            out.append((model, enumerate_vertex_states(alg)))
+            if len(out) == limit:
+                break
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    models = hidden_variable_models(catalog_suite())
+    for seed in (1, 7, 202):
+        fuzz = hidden_variable_models(random_algebras(seed, 400), limit=100)
+        assert len(fuzz) == 100
+        models += fuzz
+    return models
+
+
+def perturbed(model, polytope, i):
+    """One vertex moved by +-1/3 at one element and by 1/2 at the next, so
+    the common denominator (6) is not the largest one; every third model
+    also swaps h at zero and the unit."""
+    vertices = [list(v) for v in polytope.vertices]
+    v = vertices[i % len(vertices)]
+    v[i % len(v)] += Fraction(1 if i % 2 else -1, 3)
+    v[(i + 1) % len(v)] += Fraction(1, 2)
+    poly = StatePolytope(tuple(map(tuple, vertices)), polytope.affine_dimension)
+    if i % 3 == 0:
+        alg, h = model.algebra, dict(model.h)
+        h[alg.zero], h[alg.unit] = h[alg.unit], h[alg.zero]
+        model = replace(model, h=h)
+    return model, poly
+
+
+def test_integer_verification_matches_fraction_oracle(oracle_models):
+    for model, poly in oracle_models:
+        rep = verify_hidden_variable(model, poly)
+        assert rep.passed
+        assert rep == fraction_verify_hidden_variable(model, poly)
+
+
+def test_integer_verification_matches_oracle_on_perturbed_polytopes(oracle_models):
+    kinds = ("disagrees", "at the unit", "negative value", "additivity", "reflection")
+    seen = set()
+    for i, (model, poly) in enumerate(oracle_models):
+        model, poly = perturbed(model, poly, i)
+        rep = verify_hidden_variable(model, poly, seed=i)
+        assert rep == fraction_verify_hidden_variable(model, poly, seed=i)
+        seen.update(k for k in kinds for v in rep.violations if k in v)
+    assert seen == set(kinds)
+
+
+def test_verification_without_vertices():
+    alg = catalog.boolean_powerset(2)
+    model = hidden_variable_construct(alg, meet_witness(alg), atomic_decomposition(alg))
+    empty = StatePolytope(vertices=(), affine_dimension=0)
+    rep = verify_hidden_variable(model, empty)
+    assert rep == fraction_verify_hidden_variable(model, empty)
+    assert (rep.states_checked, rep.mixtures_checked, rep.violations) == (0, 0, ())
