@@ -47,6 +47,7 @@ from .mv import (  # noqa: F401
 )
 from .states import (  # noqa: F401
     EmptyStateSpace,
+    StateCarrierTooLarge,
     StatePolytope,
     enumerate_vertex_states,
     is_separating,

@@ -118,20 +118,14 @@ class FiniteEffectAlgebra:
         return _derive(self)
 
 
-def validate(
-    elements,
-    zero: str,
-    unit: str,
-    sums,
-    max_size: int = MAX_CARRIER,
-) -> FiniteEffectAlgebra:
+def validate(elements, zero: str, unit: str, sums) -> FiniteEffectAlgebra:
     """Build and validate an algebra from (a, b, c) label triples meaning a+b=c.
 
     One orientation per pair suffices; the table is symmetrized.  Conflicting
     orientations raise CommutativityViolation.
     """
     labels = tuple(elements)
-    _check_structure(labels, zero, unit, max_size)
+    _check_structure(labels, zero, unit)
     n = len(labels)
     pos = {lbl: i for i, lbl in enumerate(labels)}
     table: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
@@ -153,17 +147,13 @@ def validate(
 
 
 def validate_table(
-    labels,
-    zero: ElementId,
-    unit: ElementId,
-    table,
-    max_size: int = MAX_CARRIER,
+    labels, zero: ElementId, unit: ElementId, table
 ) -> FiniteEffectAlgebra:
     """Validate a raw square table (no symmetrization; asymmetry is an error)."""
     labels = tuple(labels)
     if not (0 <= zero < len(labels)) or not (0 <= unit < len(labels)):
         raise MalformedTable("zero/unit index out of range")
-    _check_structure(labels, labels[zero], labels[unit], max_size)
+    _check_structure(labels, labels[zero], labels[unit])
     n = len(labels)
     rows = [list(row) for row in table]
     if len(rows) != n or any(len(row) != n for row in rows):
@@ -175,7 +165,7 @@ def validate_table(
     return _validate_checked(labels, zero, unit, rows)
 
 
-def from_json_dict(doc: dict, max_size: int = MAX_CARRIER) -> FiniteEffectAlgebra:
+def from_json_dict(doc: dict) -> FiniteEffectAlgebra:
     """Load an algebra from the published JSON format; unknown keys rejected."""
     if not isinstance(doc, dict):
         raise MalformedTable("algebra document must be a JSON object")
@@ -197,24 +187,24 @@ def from_json_dict(doc: dict, max_size: int = MAX_CARRIER) -> FiniteEffectAlgebr
             raise MalformedTable(f"sum entry {triple!r} is not an [a, b, c] triple")
         if not all(isinstance(x, str) for x in triple):
             raise MalformedTable(f"sum entry {triple!r} has a non-string label")
-    return validate(doc["elements"], doc["zero"], doc["unit"], doc["sums"], max_size)
+    return validate(doc["elements"], doc["zero"], doc["unit"], doc["sums"])
 
 
-def from_json(text: str, max_size: int = MAX_CARRIER) -> FiniteEffectAlgebra:
+def from_json(text: str) -> FiniteEffectAlgebra:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past Python's digit
         # limit; RecursionError is how json reports too deep a nesting
         raise MalformedTable(f"invalid JSON: {exc}") from exc
-    return from_json_dict(doc, max_size)
+    return from_json_dict(doc)
 
 
-def _check_structure(labels, zero, unit, max_size):
+def _check_structure(labels, zero, unit):
     if len(set(labels)) != len(labels):
         raise MalformedTable("element labels are not pairwise distinct")
-    if len(labels) > max_size:
-        raise MalformedTable(f"carrier size {len(labels)} exceeds cap {max_size}")
+    if len(labels) > MAX_CARRIER:
+        raise MalformedTable(f"carrier size {len(labels)} exceeds cap {MAX_CARRIER}")
     for lbl in (zero, unit):
         if lbl not in labels:
             raise MalformedTable(f"distinguished element {lbl!r} not in carrier")
@@ -615,4 +605,7 @@ def find_isomorphism(
             used.discard(q)
         return False
 
-    return dict(mapping) if rec(0) else None
+    try:
+        return dict(mapping) if rec(0) else None
+    finally:
+        del rec  # rec refers to itself through its closure: break the cycle

@@ -145,14 +145,15 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
 # ---------------------------------------------------------------------------
 # Spec strings for the CLI: e.g. "chain(3)", "product(chain(2),chain(2))"
 
-# name -> (constructor, the type every argument must have)
+# name -> (constructor, the type every argument must have, the number of
+# arguments or None for any number)
 _CONSTRUCTORS = {
-    "boolean_powerset": (boolean_powerset, int),
-    "chain": (chain, int),
-    "mo": (mo, int),
-    "wright_triangle": (wright_triangle, int),
-    "horizontal_sum": (horizontal_sum, FiniteEffectAlgebra),
-    "product": (product, FiniteEffectAlgebra),
+    "boolean_powerset": (boolean_powerset, int, 1),
+    "chain": (chain, int, 1),
+    "mo": (mo, int, 1),
+    "wright_triangle": (wright_triangle, int, 0),
+    "horizontal_sum": (horizontal_sum, FiniteEffectAlgebra, None),
+    "product": (product, FiniteEffectAlgebra, None),
 }
 
 
@@ -200,8 +201,10 @@ def _parse(text: str, depth: int = 1):
             rest = rest.lstrip()
             if rest.startswith(","):
                 rest = rest[1:]
-    build, kind = _CONSTRUCTORS[name]
+    build, kind, arity = _CONSTRUCTORS[name]
     if not all(isinstance(arg, kind) for arg in args):
         expected = "integers" if kind is int else "algebras"
         raise BoundExceeded(f"{name} takes {expected} as arguments")
+    if arity is not None and len(args) != arity:
+        raise BoundExceeded(f"{name} takes {arity} argument(s), got {len(args)}")
     return build(*args), rest

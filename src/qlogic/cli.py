@@ -2,7 +2,12 @@
 
 Commands: validate, analyze, clone-search, states, hidden, catalog.
 Exit codes: 0 success / property holds, 1 property fails or no witness,
-2 invalid input, 3 resource abort.
+2 invalid input, 3 resource abort (search node budget, state-enumeration
+carrier cap).
+
+`main` reads and loads the input file, maps load errors to exit codes and
+prints the one report; each file command is a function from the loaded
+algebra and the parsed arguments to its results and exit code.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
-def _print(doc: dict, fmt: str) -> None:
-    _write(reports.emit(doc, fmt))
-
-
 def _split_parts(text: str) -> list[str]:
     """Split on the commas outside (), {} and [], which labels may contain."""
     parts, depth, start = [], 0, 0
@@ -60,63 +61,15 @@ def _split_parts(text: str) -> list[str]:
     return parts
 
 
-def cmd_validate(args) -> int:
-    results: dict = {}
-    try:
-        digest, text = _read(args.file)
-        algebra.from_json(text)
-    except algebra.ValidationError as exc:
-        results = {
-            "valid": False,
-            "violation": type(exc).__name__,
-            "detail": str(exc),
-            "witnesses": list(exc.witnesses),
-        }
-        _print(reports.make_report("validate", digest, None, results), args.format)
-        return EXIT_FAIL
-    except algebra.MalformedTable as exc:
-        _print(
-            reports.make_report(
-                "validate", None, None, {"valid": False, "error": str(exc)}
-            ),
-            args.format,
-        )
-        return EXIT_BAD_INPUT
-    results = {"valid": True}
-    _print(reports.make_report("validate", digest, None, results), args.format)
-    return EXIT_OK
+def cmd_validate(alg, args) -> tuple[dict, int]:
+    return {"valid": True}, EXIT_OK
 
 
-def _load_or_report(args, command):
-    try:
-        digest, text = _read(args.file)
-        return algebra.from_json(text), digest, None
-    except algebra.ValidationError as exc:
-        doc = reports.make_report(
-            command, None, None, {"error": f"{type(exc).__name__}: {exc}"}
-        )
-        _print(doc, args.format)
-        return None, None, EXIT_FAIL
-    except algebra.MalformedTable as exc:
-        doc = reports.make_report(command, None, None, {"error": str(exc)})
-        _print(doc, args.format)
-        return None, None, EXIT_BAD_INPUT
+def cmd_analyze(alg, args) -> tuple[dict, int]:
+    return algebra.structure_report(alg).to_json_dict(alg), EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    alg, digest, err = _load_or_report(args, "analyze")
-    if alg is None:
-        return err
-    report = algebra.structure_report(alg)
-    doc = reports.make_report("analyze", digest, None, report.to_json_dict(alg))
-    _print(doc, args.format)
-    return EXIT_OK
-
-
-def cmd_clone_search(args) -> int:
-    alg, digest, err = _load_or_report(args, "clone-search")
-    if alg is None:
-        return err
+def cmd_clone_search(alg, args) -> tuple[dict, int]:
     outcome = cloning.find_cloning_bimorphism(
         alg, enumerate_all=args.all, node_budget=args.budget
     )
@@ -142,127 +95,84 @@ def cmd_clone_search(args) -> int:
                 "state space is not separating; witness existence is reported "
                 "at the bimorphism level only"
             )
-    doc = reports.make_report("clone-search", digest, None, results)
-    _print(doc, args.format)
     if outcome.status == "aborted":
-        return EXIT_ABORTED
-    return EXIT_OK if outcome.status == "witness-found" else EXIT_FAIL
+        return results, EXIT_ABORTED
+    return results, EXIT_OK if outcome.status == "witness-found" else EXIT_FAIL
 
 
-def cmd_states(args) -> int:
-    alg, digest, err = _load_or_report(args, "states")
-    if alg is None:
-        return err
+def cmd_states(alg, args) -> tuple[dict, int]:
     try:
         poly = states.enumerate_vertex_states(alg)
     except states.EmptyStateSpace as exc:
-        doc = reports.make_report(
-            "states",
-            digest,
-            None,
-            {"empty_state_space": True, "detail": str(exc)},
-        )
-        _print(doc, args.format)
-        return EXIT_FAIL
+        return {"empty_state_space": True, "detail": str(exc)}, EXIT_FAIL
     separating, merged = states.is_separating(alg, poly)
-    results = {
+    return {
         "vertex_count": len(poly.vertices),
         "affine_dimension": poly.affine_dimension,
         "vertices": poly.to_json_list(alg),
         "separating": separating,
         "merged_pairs": [[alg.labels[p], alg.labels[q]] for p, q in merged],
-    }
-    doc = reports.make_report("states", digest, None, results)
-    _print(doc, args.format)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_hidden(args) -> int:
-    alg, digest, err = _load_or_report(args, "hidden")
-    if alg is None:
-        return err
+def _unmet(reason: str) -> tuple[dict, int]:
+    return {"hypothesis_met": False, "reason": reason}, EXIT_FAIL
 
-    def unmet(reason: str) -> int:
-        doc = reports.make_report(
-            "hidden",
-            digest,
-            args.seed,
-            {"hypothesis_met": False, "reason": reason},
-        )
-        _print(doc, args.format)
-        return EXIT_FAIL
 
+def cmd_hidden(alg, args) -> tuple[dict, int]:
     outcome = cloning.find_cloning_bimorphism(alg, node_budget=args.budget)
     if outcome.status == "aborted":
-        doc = reports.make_report(
-            "hidden", digest, args.seed, {"error": "cloning search aborted"}
-        )
-        _print(doc, args.format)
-        return EXIT_ABORTED
+        return {"error": "cloning search aborted"}, EXIT_ABORTED
     if outcome.status == "no-witness":
-        return unmet("no cloning witness exists")
-    witness = outcome.witnesses[0]
-
+        return _unmet("no cloning witness exists")
     if args.parts:
         try:
             parts = tuple(alg.index(lbl) for lbl in _split_parts(args.parts))
         except algebra.MalformedTable as exc:
-            doc = reports.make_report("hidden", digest, args.seed, {"error": str(exc)})
-            _print(doc, args.format)
-            return EXIT_BAD_INPUT
+            return {"error": str(exc)}, EXIT_BAD_INPUT
     else:
         decomps = mv.find_chain_decomposition(alg)
         if not decomps:
-            return unmet("no chain decomposition of the unit exists")
+            return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
-
     try:
-        model = mv.hidden_variable_construct(alg, witness, parts)
+        model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
     except mv.ConstructionFailed as exc:
-        return unmet(str(exc))
+        return _unmet(str(exc))
     try:
         poly = states.enumerate_vertex_states(alg)
     except states.EmptyStateSpace:
-        return unmet("the algebra has no states")
+        return _unmet("the algebra has no states")
     verification = mv.verify_hidden_variable(model, poly, seed=args.seed)
     results = {
         "hypothesis_met": True,
         "model": model.to_json_dict(),
         "verification": verification.to_json_dict(),
     }
-    doc = reports.make_report("hidden", digest, args.seed, results)
-    _print(doc, args.format)
-    return EXIT_OK if verification.passed else EXIT_FAIL
+    return results, EXIT_OK if verification.passed else EXIT_FAIL
 
 
 def cmd_catalog(args) -> int:
+    """No input file; without -o the algebra's JSON is the whole output."""
     try:
         alg = catalog.build_spec(args.spec)
-    except (catalog.BoundExceeded, algebra.AlgebraError, TypeError) as exc:
-        doc = reports.make_report("catalog", None, None, {"error": str(exc)})
-        _print(doc, args.format)
-        return EXIT_BAD_INPUT
-    text = alg.to_json()
-    if args.output:
+    except algebra.AlgebraError as exc:
+        results, code = {"error": str(exc)}, EXIT_BAD_INPUT
+    else:
+        if not args.output:
+            _write(alg.to_json())
+            return EXIT_OK
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.write(alg.to_json() + "\n")
         except OSError as exc:
-            doc = reports.make_report(
-                "catalog", None, None, {"error": f"cannot write {args.output}: {exc}"}
-            )
-            _print(doc, args.format)
-            return EXIT_BAD_INPUT
-        doc = reports.make_report(
-            "catalog",
-            None,
-            None,
-            {"spec": args.spec, "size": alg.size, "written": args.output},
-        )
-        _print(doc, args.format)
-    else:
-        _write(text)
-    return EXIT_OK
+            results = {"error": f"cannot write {args.output}: {exc}"}
+            code = EXIT_BAD_INPUT
+        else:
+            results = {"spec": args.spec, "size": alg.size, "written": args.output}
+            code = EXIT_OK
+    _write(reports.emit(reports.make_report("catalog", results=results), args.format))
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,23 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="algebra JSON file")
+    def file_command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="algebra JSON file")
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="check the effect-algebra axioms")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="full structure report")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("clone-search", help="search for cloning bimorphisms")
-    common(p)
+    file_command("validate", cmd_validate, "check the effect-algebra axioms")
+    file_command("analyze", cmd_analyze, "full structure report")
+    p = file_command("clone-search", cmd_clone_search, "search for cloning bimorphisms")
     p.add_argument("--all", action="store_true", help="enumerate all witnesses")
     p.add_argument(
         "--budget",
@@ -297,14 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=cloning.DEFAULT_NODE_BUDGET,
         help="search node budget",
     )
-    p.set_defaults(func=cmd_clone_search)
-
-    p = sub.add_parser("states", help="enumerate vertex states")
-    common(p)
-    p.set_defaults(func=cmd_states)
-
-    p = sub.add_parser("hidden", help="hidden-variable model construction")
-    common(p)
+    file_command("states", cmd_states, "enumerate vertex states")
+    p = file_command("hidden", cmd_hidden, "hidden-variable model construction")
     p.add_argument(
         "--parts",
         help="comma-separated part labels for the decomposition; commas "
@@ -317,20 +216,48 @@ def build_parser() -> argparse.ArgumentParser:
         default=cloning.DEFAULT_NODE_BUDGET,
         help="cloning search node budget",
     )
-    p.set_defaults(func=cmd_hidden)
 
     p = sub.add_parser("catalog", help="emit a catalog algebra as JSON")
     p.add_argument("spec", help='constructor spec, e.g. "mo(2)" or "chain(3)"')
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_catalog)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.command == "catalog":
+        return cmd_catalog(args)
+    digest, seed = None, None
+    try:
+        digest, text = _read(args.file)
+        alg = algebra.from_json(text)
+    except algebra.MalformedTable as exc:
+        digest, code = None, EXIT_BAD_INPUT
+        results = {"error": str(exc)}
+        if args.command == "validate":
+            results = {"valid": False, "error": str(exc)}
+    except algebra.ValidationError as exc:
+        code = EXIT_FAIL
+        if args.command == "validate":
+            results = {
+                "valid": False,
+                "violation": type(exc).__name__,
+                "detail": str(exc),
+                "witnesses": list(exc.witnesses),
+            }
+        else:
+            digest, results = None, {"error": f"{type(exc).__name__}: {exc}"}
+    else:
+        seed = getattr(args, "seed", None)
+        try:
+            results, code = args.func(alg, args)
+        except states.StateCarrierTooLarge as exc:
+            results, code = {"error": str(exc)}, EXIT_ABORTED
+    doc = reports.make_report(args.command, digest, seed, results)
+    _write(reports.emit(doc, args.format))
+    return code
 
 
 if __name__ == "__main__":

@@ -191,8 +191,11 @@ def find_cloning_bimorphism(
             if aborted or (witnesses and not enumerate_all):
                 return
 
-    if propagate(seed):
-        rec(seed)
+    try:
+        if propagate(seed):
+            rec(seed)
+    finally:
+        del rec  # rec refers to itself through its closure: break the cycle
 
     witnesses.sort(key=lambda w: w.table)
     if aborted:

@@ -184,19 +184,20 @@ def find_chain_decomposition(
         p for p in alg.elements() if p != alg.zero and is_chain_ideal(alg, p)
     ]
     results: list[tuple[ElementId, ...]] = []
-
-    def extend(parts: list[ElementId], acc: ElementId, start: int) -> None:
+    # (parts so far, their sum, first candidate index still allowed); the
+    # order of the walk does not matter because the results are sorted
+    stack: list[tuple[tuple[ElementId, ...], ElementId, int]] = [((), alg.zero, 0)]
+    while stack:
+        parts, acc, start = stack.pop()
         for i in range(start, len(candidates)):
             c = candidates[i]
             s = alg.table[acc][c] if acc != alg.zero else c
             if s is None:
                 continue
             if s == alg.unit:
-                results.append(tuple(parts + [c]))
+                results.append(parts + (c,))
             else:
-                extend(parts + [c], s, i)
-
-    extend([], alg.zero, 0)
+                stack.append((parts + (c,), s, i))
     results.sort(key=lambda t: (len(t), t))
     return results
 

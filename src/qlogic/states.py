@@ -29,6 +29,10 @@ class EmptyStateSpace(AlgebraError):
     """The algebra admits no states at all."""
 
 
+class StateCarrierTooLarge(AlgebraError):
+    """The carrier has more than MAX_STATE_CARRIER elements to enumerate."""
+
+
 @dataclass(frozen=True)
 class StatePolytope:
     """Vertex states, each a tuple of Fractions indexed by ElementId."""
@@ -124,11 +128,12 @@ def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
 def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     """Exact vertex enumeration of the state polytope, in atom coordinates.
 
-    Raises EmptyStateSpace when the algebra admits no states.
+    Raises EmptyStateSpace when the algebra admits no states, and
+    StateCarrierTooLarge above MAX_STATE_CARRIER elements.
     """
     n = alg.size
     if n > MAX_STATE_CARRIER:
-        raise AlgebraError(
+        raise StateCarrierTooLarge(
             f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
             f"elements, got {n}"
         )

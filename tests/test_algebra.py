@@ -37,6 +37,7 @@ from qlogic.algebra import (
     validate_table,
 )
 from qlogic.fuzz import random_algebras
+from qlogic.mv import find_chain_decomposition
 
 
 def catalog_suite():
@@ -123,7 +124,7 @@ def test_degenerate_rejected():
 
 def test_size_cap():
     with pytest.raises(MalformedTable):
-        validate([str(i) for i in range(65)], "0", "1", [], max_size=64)
+        validate([str(i) for i in range(65)], "0", "1", [])
 
 
 def test_unknown_json_keys_rejected():
@@ -471,6 +472,22 @@ def test_algebra_collected_after_use():
     del alg
     gc.collect()
     assert ref() is None
+
+    # the searches leave no reference cycle, so reference counting alone
+    # frees the algebra once the last name for it goes
+    gc.disable()
+    try:
+        alg = validate(labels, "0", "1", sums)
+        structure_report(alg)
+        find_cloning_bimorphism(alg)
+        find_chain_decomposition(alg)
+        find_isomorphism(alg, alg)
+        ref = weakref.ref(alg)
+        del alg
+        freed_by_refcount = ref() is None
+    finally:
+        gc.enable()
+    assert freed_by_refcount
 
 
 def test_isomorphism_search_positive_and_negative():

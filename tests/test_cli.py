@@ -213,6 +213,10 @@ def test_catalog_bad_spec(capsys):
         pytest.param("horizontal_sum(chain(2),2)", id="integer-for-algebra"),
         pytest.param("product(2,3)", id="integers-for-algebras"),
         pytest.param("chain(chain(2))", id="algebra-for-integer"),
+        pytest.param("chain()", id="too-few-arguments"),
+        pytest.param("chain(1,2)", id="too-many-arguments"),
+        pytest.param("wright_triangle(3)", id="argument-to-constant"),
+        pytest.param("mo()", id="empty-argument-list"),
     ],
 )
 def test_catalog_spec_with_bad_arguments(capsys, spec):
@@ -287,7 +291,10 @@ def _bad_input_file(tmp_path, kind):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["validate", "analyze"])
+FILE_COMMANDS = ["validate", "analyze", "clone-search", "states", "hidden"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
 @pytest.mark.parametrize(
     "kind", ["missing", "directory", "not-utf8", "huge-integer", "deep-nesting"]
 )
@@ -296,6 +303,25 @@ def test_bad_input_file_exits_2(tmp_path, command, kind):
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "error" in last_json(proc.stdout)["results"]
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("states", "product(mo(2),mo(2))"),
+        # 64 elements, Boolean: the cloning search and the chain
+        # decomposition succeed, and the state enumeration refuses
+        ("hidden", "product(boolean_powerset(1),boolean_powerset(5))"),
+    ],
+)
+def test_state_enumeration_cap_exits_3(tmp_path, command, spec):
+    path = tmp_path / "big.json"
+    path.write_text(catalog.build_spec(spec).to_json())
+    proc = run_process(command, str(path), "--format", "json")
+    assert proc.returncode == EXIT_ABORTED
+    assert "Traceback" not in proc.stdout + proc.stderr
+    error = last_json(proc.stdout)["results"]["error"]
+    assert error.startswith("vertex enumeration supports carriers up to 32")
 
 
 report_validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
@@ -338,6 +364,81 @@ def test_exit_code_contract_on_arbitrary_input(content, command):
             code = main([command, path, "--format", "json"])
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT)
     report_validator.validate(json.loads(out.getvalue()))
+
+
+# catalog algebras with n <= 16
+small_specs = st.sampled_from(
+    [
+        "boolean_powerset(2)",
+        "boolean_powerset(4)",
+        "chain(3)",
+        "mo(3)",
+        "wright_triangle()",
+        "product(chain(2),chain(2))",
+        "horizontal_sum(boolean_powerset(2),chain(3))",
+    ]
+)
+# mutations the loader must reject as malformed (exit 2), and mutations that
+# break an axiom of a well-formed document (never exit 2)
+STRUCTURAL = [
+    "unknown-label",
+    "duplicate-label",
+    "missing-key",
+    "extra-key",
+    "non-string-element",
+    "non-string-sum-label",
+    "zero-is-unit",
+]
+AXIOM_LEVEL = ["drop-entry", "conflicting-orientation"]
+
+
+def mutate(doc: dict, kind: str, i: int) -> None:
+    """Apply one mutation of the given kind; i picks the entry it touches."""
+    elements, sums = doc["elements"], doc["sums"]
+    k = i % len(sums)
+    if kind == "unknown-label":
+        sums[k][i % 3] = "no such label"
+    elif kind == "duplicate-label":
+        elements.append(elements[i % len(elements)])
+    elif kind == "missing-key":
+        del doc[sorted(doc)[i % 4]]
+    elif kind == "extra-key":
+        doc["comment"] = "an extra key"
+    elif kind == "non-string-element":
+        elements[i % len(elements)] = i
+    elif kind == "non-string-sum-label":
+        sums[k][i % 3] = [sums[k][i % 3]]
+    elif kind == "zero-is-unit":
+        doc["unit"] = doc["zero"]
+    elif kind == "drop-entry":
+        del sums[k]
+    elif kind == "conflicting-orientation":
+        a, b, c = sums[k]
+        sums.append([b, a, next(x for x in elements if x != c)])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    spec=small_specs,
+    kind=st.sampled_from(STRUCTURAL + AXIOM_LEVEL),
+    i=st.integers(min_value=0, max_value=10**6),
+)
+def test_exit_2_exactly_when_malformed(spec, kind, i):
+    doc = catalog.build_spec(spec).to_json_dict()
+    mutate(doc, kind, i)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        for command in FILE_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, path, "--format", "json"])
+            report_validator.validate(json.loads(out.getvalue()))
+            if kind in STRUCTURAL:
+                assert code == EXIT_BAD_INPUT, (command, kind)
+            else:
+                assert code in (EXIT_OK, EXIT_FAIL, EXIT_ABORTED), (command, kind)
 
 
 constructor_names = st.sampled_from(sorted(catalog._CONSTRUCTORS))
