@@ -3,10 +3,10 @@
 The carrier is a list of labelled elements and the partial binary sum is a
 square table with ``None`` marking undefined entries.  Validation checks the
 four effect-algebra axioms by full exhaustion.  The order, supplements,
-atoms, differences, meets, joins and incompatible pairs are then derived in
-one pass over the table, on first use, into one record kept on the algebra
-instance (``derive_order``); coherence and Boolean-ness are decided from the
-table and that record.
+atoms, differences, meets, joins, incompatible pairs and defined sums are
+then derived in one pass over the table, on first use, into one record kept
+on the algebra instance (``derive_order``); coherence and Boolean-ness are
+decided from the table and that record.
 """
 
 from __future__ import annotations
@@ -280,6 +280,8 @@ class DerivedStructure:
 
     ``leq[p][q]``: p <= q.  ``difference[p][q]``: the r with p + r = q, or None.
     ``meet``/``join``: greatest lower / least upper bound of a pair, or None.
+    ``sums``: every defined a + b = c as (a, b, c) with a <= b, in ascending
+    (a, b) order; the sum is commutative, so this is each defined sum once.
     """
 
     leq: tuple[tuple[bool, ...], ...]
@@ -289,6 +291,7 @@ class DerivedStructure:
     meet: tuple[tuple[ElementId | None, ...], ...]
     join: tuple[tuple[ElementId | None, ...], ...]
     incompatible_pairs: tuple[tuple[ElementId, ElementId], ...]
+    sums: tuple[tuple[ElementId, ElementId, ElementId], ...]
 
 
 def derive_order(alg: FiniteEffectAlgebra) -> DerivedStructure:
@@ -303,12 +306,15 @@ def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
     down = [0] * n
     up = [0] * n
     difference: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
+    sums = []
     for p in range(n):
         for r, q in enumerate(t[p]):
             if q is not None:
                 down[q] |= 1 << p
                 up[p] |= 1 << q
                 difference[p][q] = r
+                if p <= r:
+                    sums.append((p, r, q))
 
     # (x + z, y + z) is compatible for every mutually orthogonal (x, y, z)
     compatible = [0] * n
@@ -334,6 +340,7 @@ def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
         incompatible_pairs=tuple(
             (p, q) for p in range(n) for q in range(p + 1, n) if not compatible[p] >> q & 1
         ),
+        sums=tuple(sums),
     )
 
 
@@ -427,25 +434,27 @@ def is_orthoalgebra(
     return True, None
 
 
+def require_orthoalgebra(alg: FiniteEffectAlgebra, lead: str) -> None:
+    """Raise NotAnOrthoalgebra, opening with lead, unless alg is an orthoalgebra."""
+    ok, witness = is_orthoalgebra(alg)
+    if not ok:
+        raise NotAnOrthoalgebra(f"{lead}; {alg.labels[witness]!r} + itself is defined")
+
+
 def check_coherence(
     alg: FiniteEffectAlgebra,
 ) -> tuple[bool, tuple[ElementId, ElementId, ElementId] | None]:
-    """True iff every mutually orthogonal triple has a defined total sum."""
-    ok, witness = is_orthoalgebra(alg)
-    if not ok:
-        raise NotAnOrthoalgebra(
-            f"coherence is checked on orthoalgebras only; "
-            f"{alg.labels[witness]!r} + itself is defined"
-        )
+    """True iff every mutually orthogonal triple has a defined total sum.
+
+    The counterexample is the first (p, q, r) in lexicographic order; it has
+    p <= q, since (q, p, r) is a counterexample whenever (p, q, r) is.
+    """
+    require_orthoalgebra(alg, "coherence is checked on orthoalgebras only")
     t = alg.table
-    for p in alg.elements():
-        for q in alg.elements():
-            pq = t[p][q]
-            if pq is None:
-                continue
-            for r in alg.elements():
-                if t[p][r] is not None and t[q][r] is not None and t[pq][r] is None:
-                    return False, (p, q, r)
+    for p, q, pq in derive_order(alg).sums:
+        for r in alg.elements():
+            if t[p][r] is not None and t[q][r] is not None and t[pq][r] is None:
+                return False, (p, q, r)
     return True, None
 
 

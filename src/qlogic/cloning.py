@@ -9,18 +9,16 @@ nonexistence.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     AlgebraError,
     ElementId,
     FiniteEffectAlgebra,
-    NotAnOrthoalgebra,
     are_compatible,
     derive_order,
     is_boolean,
-    is_orthoalgebra,
+    require_orthoalgebra,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -67,10 +65,8 @@ class SearchOutcome:
     status: str  # "witness-found" | "no-witness" | "aborted"
     witnesses: list[CloningWitness]
     nodes_explored: int
-    wall_time: float = field(compare=False, default=0.0)
 
     def to_json_dict(self) -> dict:
-        # wall_time excluded: reports must be deterministic
         return {
             "status": self.status,
             "witnesses": [w.to_json_dict() for w in self.witnesses],
@@ -90,16 +86,11 @@ def find_cloning_bimorphism(
     derives sums and differences along orthogonal pairs and prunes
     contradictions, so composite cells are rarely branched on.
     """
-    start = time.perf_counter()
     n = alg.size
     sumt = alg.table
     order = derive_order(alg)
     lo = order.leq
     sub = order.difference
-
-    orth_pairs = [
-        (a, b) for a in range(n) for b in range(a, n) if sumt[a][b] is not None
-    ]
 
     branch_cells: list[tuple[int, int]] = []
     seen = set()
@@ -116,8 +107,7 @@ def find_cloning_bimorphism(
         changed = True
         while changed:
             changed = False
-            for a, b in orth_pairs:
-                s = sumt[a][b]
+            for a, b, s in order.sums:
                 for q in range(n):
                     for (ra, ca), (rb, cb), (rs, cs) in (
                         (((a, q)), ((b, q)), ((s, q))),
@@ -204,12 +194,7 @@ def find_cloning_bimorphism(
         status = "witness-found"
     else:
         status = "no-witness"
-    return SearchOutcome(
-        status=status,
-        witnesses=witnesses,
-        nodes_explored=nodes,
-        wall_time=time.perf_counter() - start,
-    )
+    return SearchOutcome(status=status, witnesses=witnesses, nodes_explored=nodes)
 
 
 def verify_witness(
@@ -233,36 +218,32 @@ def verify_witness(
             return False, f"unit law fails: c(1, {labels[p]}) != {labels[p]}"
     if table[alg.unit][alg.unit] != alg.unit:
         return False, "c(1, 1) != 1"
-    for a in range(n):
-        for b in range(a, n):
-            s = sumt[a][b]
-            if s is None:
-                continue
-            for q in range(n):
-                w = sumt[table[a][q]][table[b][q]]
-                if w is None:
-                    return False, (
-                        f"biadditivity fails: c({labels[a]}, {labels[q]}) is not "
-                        f"orthogonal to c({labels[b]}, {labels[q]})"
-                    )
-                if w != table[s][q]:
-                    return False, (
-                        f"biadditivity fails: c({labels[a]}(+){labels[b]}, "
-                        f"{labels[q]}) != c({labels[a]}, {labels[q]}) (+) "
-                        f"c({labels[b]}, {labels[q]})"
-                    )
-                w = sumt[table[q][a]][table[q][b]]
-                if w is None:
-                    return False, (
-                        f"biadditivity fails: c({labels[q]}, {labels[a]}) is not "
-                        f"orthogonal to c({labels[q]}, {labels[b]})"
-                    )
-                if w != table[q][s]:
-                    return False, (
-                        f"biadditivity fails: c({labels[q]}, {labels[a]}(+)"
-                        f"{labels[b]}) != c({labels[q]}, {labels[a]}) (+) "
-                        f"c({labels[q]}, {labels[b]})"
-                    )
+    for a, b, s in derive_order(alg).sums:
+        for q in range(n):
+            w = sumt[table[a][q]][table[b][q]]
+            if w is None:
+                return False, (
+                    f"biadditivity fails: c({labels[a]}, {labels[q]}) is not "
+                    f"orthogonal to c({labels[b]}, {labels[q]})"
+                )
+            if w != table[s][q]:
+                return False, (
+                    f"biadditivity fails: c({labels[a]}(+){labels[b]}, "
+                    f"{labels[q]}) != c({labels[a]}, {labels[q]}) (+) "
+                    f"c({labels[b]}, {labels[q]})"
+                )
+            w = sumt[table[q][a]][table[q][b]]
+            if w is None:
+                return False, (
+                    f"biadditivity fails: c({labels[q]}, {labels[a]}) is not "
+                    f"orthogonal to c({labels[q]}, {labels[b]})"
+                )
+            if w != table[q][s]:
+                return False, (
+                    f"biadditivity fails: c({labels[q]}, {labels[a]}(+)"
+                    f"{labels[b]}) != c({labels[q]}, {labels[a]}) (+) "
+                    f"c({labels[q]}, {labels[b]})"
+                )
     return True, None
 
 
@@ -300,12 +281,7 @@ def check_witness_lemmas(
     alg: FiniteEffectAlgebra, witness: CloningWitness
 ) -> LemmaReport:
     """Exhaustively check the two witness lemmas, valid on orthoalgebras only."""
-    ok, bad = is_orthoalgebra(alg)
-    if not ok:
-        raise NotAnOrthoalgebra(
-            f"the witness lemmas hold on orthoalgebras only; "
-            f"{alg.labels[bad]!r} + itself is defined"
-        )
+    require_orthoalgebra(alg, "the witness lemmas hold on orthoalgebras only")
     violations = []
     orth_ok = True
     idem_ok = True
@@ -337,12 +313,7 @@ def compatibility_core(
     q: ElementId,
 ) -> tuple[ElementId, ElementId, ElementId]:
     """The unique Mackey decomposition (r, a, b) read off the witness table."""
-    ok, bad = is_orthoalgebra(alg)
-    if not ok:
-        raise NotAnOrthoalgebra(
-            f"compatibility cores are defined on orthoalgebras; "
-            f"{alg.labels[bad]!r} + itself is defined"
-        )
+    require_orthoalgebra(alg, "compatibility cores are defined on orthoalgebras")
     supp = derive_order(alg).supplement
     r = witness.table[p][q]
     a = witness.table[p][supp[q]]

@@ -140,13 +140,10 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     dec = atom_decompositions(alg)
     m = len(dec[alg.zero])
     rows = {dec[alg.unit] + (1,)}
-    for a in alg.elements():
-        for b in range(a, n):
-            c = alg.table[a][b]
-            if c is not None:
-                row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
-                if any(row):
-                    rows.add(row + (0,))
+    for a, b, c in derive_order(alg).sums:
+        row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
+        if any(row):
+            rows.add(row + (0,))
     reduced = _rref([[Fraction(x) for x in row] for row in rows])
     if reduced is None:
         raise EmptyStateSpace("the additivity constraints are inconsistent")
@@ -222,13 +219,9 @@ def check_state(alg: FiniteEffectAlgebra, values, scale=1) -> list[str]:
     for p in alg.elements():
         if values[p] < 0:
             out.append(f"negative value at {alg.labels[p]}")
-    for a in alg.elements():
-        for b in range(a, alg.size):
-            c = alg.table[a][b]
-            if c is not None and values[a] + values[b] != values[c]:
-                out.append(
-                    f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})"
-                )
+    for a, b, c in derive_order(alg).sums:
+        if values[a] + values[b] != values[c]:
+            out.append(f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})")
     return out
 
 

@@ -494,3 +494,47 @@ def test_isomorphism_search_positive_and_negative():
     assert find_isomorphism(catalog.mo(1), catalog.boolean_powerset(2)) is not None
     assert find_isomorphism(catalog.mo(2), catalog.boolean_powerset(2)) is None
     assert find_isomorphism(catalog.chain(1), catalog.boolean_powerset(1)) is not None
+
+
+# ---------------------------------------------------------------------------
+# the list of defined sums, and the walk over it, against table scans
+
+
+def scan_sums(alg):
+    """Oracle: every defined a + b = c with a <= b, from the table's upper triangle."""
+    return [
+        (a, b, alg.table[a][b])
+        for a in alg.elements()
+        for b in range(a, alg.size)
+        if alg.table[a][b] is not None
+    ]
+
+
+def test_sums_match_upper_triangle_scan():
+    suite = catalog_suite()
+    for seed in (1, 7, 202):
+        suite += random_algebras(seed=seed, count=100)
+    for alg in suite:
+        assert list(derive_order(alg).sums) == scan_sums(alg), alg.labels
+
+
+def scan_coherence(alg):
+    """Oracle: the first coherence counterexample over ordered pairs (p, q)."""
+    t = alg.table
+    for p in alg.elements():
+        for q in alg.elements():
+            pq = t[p][q]
+            if pq is None:
+                continue
+            for r in alg.elements():
+                if t[p][r] is not None and t[q][r] is not None and t[pq][r] is None:
+                    return False, (p, q, r)
+    return True, None
+
+
+def test_coherence_counterexample_matches_ordered_pair_scan():
+    wright = catalog.wright_triangle()
+    for alg in (wright, catalog.horizontal_sum(wright, catalog.boolean_powerset(2))):
+        expected = scan_coherence(alg)
+        assert not expected[0]
+        assert check_coherence(alg) == expected

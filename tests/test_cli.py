@@ -507,3 +507,17 @@ def test_golden_states_report(capsys, tmp_path):
     assert first == second
     results = json.loads(first)["results"]
     assert results["vertices"] == [{"0": "0/1", "1/2": "1/2", "1": "1/1"}]
+
+
+def test_clone_search_above_state_cap_leaves_out_state_keys(tmp_path):
+    # 36 elements, above states.MAX_STATE_CARRIER: the search runs, the
+    # separation check does not
+    path = tmp_path / "big.json"
+    path.write_text(catalog.build_spec("product(mo(2),mo(2))").to_json())
+    proc = run_process("clone-search", str(path), "--format", "json")
+    assert proc.returncode == EXIT_FAIL
+    assert "Traceback" not in proc.stdout + proc.stderr
+    results = last_json(proc.stdout)["results"]
+    assert results["status"] == "no-witness"
+    assert "state_space_separating" not in results
+    assert "interpretation" not in results

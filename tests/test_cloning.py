@@ -13,6 +13,7 @@ from qlogic.cloning import (
     meet_witness,
     verify_witness,
 )
+from test_algebra import catalog_suite
 
 
 def test_bp2_witness_found_and_equals_meet():
@@ -166,3 +167,59 @@ def test_found_witness_symmetric_on_booleans():
     for k in (1, 2, 3):
         out = find_cloning_bimorphism(catalog.boolean_powerset(k))
         assert out.witnesses[0].is_symmetric()
+
+
+def scan_biadditivity(alg, table):
+    """Oracle: the first biadditivity violation, from the table's upper triangle."""
+    labels, sumt = alg.labels, alg.table
+    for a in alg.elements():
+        for b in range(a, alg.size):
+            s = sumt[a][b]
+            if s is None:
+                continue
+            for q in alg.elements():
+                w = sumt[table[a][q]][table[b][q]]
+                if w is None:
+                    return False, (
+                        f"biadditivity fails: c({labels[a]}, {labels[q]}) is not "
+                        f"orthogonal to c({labels[b]}, {labels[q]})"
+                    )
+                if w != table[s][q]:
+                    return False, (
+                        f"biadditivity fails: c({labels[a]}(+){labels[b]}, "
+                        f"{labels[q]}) != c({labels[a]}, {labels[q]}) (+) "
+                        f"c({labels[b]}, {labels[q]})"
+                    )
+                w = sumt[table[q][a]][table[q][b]]
+                if w is None:
+                    return False, (
+                        f"biadditivity fails: c({labels[q]}, {labels[a]}) is not "
+                        f"orthogonal to c({labels[q]}, {labels[b]})"
+                    )
+                if w != table[q][s]:
+                    return False, (
+                        f"biadditivity fails: c({labels[q]}, {labels[a]}(+)"
+                        f"{labels[b]}) != c({labels[q]}, {labels[a]}) (+) "
+                        f"c({labels[q]}, {labels[b]})"
+                    )
+    return True, None
+
+
+def test_first_violation_matches_table_scan():
+    booleans = [alg for alg in catalog_suite() if is_boolean(alg)]
+    assert len(booleans) >= 4
+    for alg in booleans:
+        meets = meet_witness(alg).table
+        # cells off the unit's row and column, so the unit laws hold and only
+        # biadditivity can fail; the meet witness is the only witness
+        others = [p for p in alg.elements() if p != alg.unit]
+        for p in others:
+            for q in others:
+                for v in alg.elements():
+                    if v == meets[p][q]:
+                        continue
+                    table = [list(row) for row in meets]
+                    table[p][q] = v
+                    expected = scan_biadditivity(alg, table)
+                    assert not expected[0]
+                    assert verify_witness(alg, table) == expected

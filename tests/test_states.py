@@ -222,3 +222,40 @@ def test_json_vertices_exact_fractions():
     poly = enumerate_vertex_states(alg)
     doc = poly.to_json_list(alg)
     assert doc == [{"0": "0/1", "1/2": "1/2", "1": "1/1"}]
+
+
+def scan_check_state(alg, values):
+    """Oracle: check_state's messages, from the table's upper triangle."""
+    out = []
+    if values[alg.unit] != 1:
+        out.append("value at the unit is not 1")
+    for p in alg.elements():
+        if values[p] < 0:
+            out.append(f"negative value at {alg.labels[p]}")
+    for a in alg.elements():
+        for b in range(a, alg.size):
+            c = alg.table[a][b]
+            if c is not None and values[a] + values[b] != values[c]:
+                out.append(f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})")
+    return out
+
+
+def test_check_state_messages_match_table_scan():
+    for alg in oracle_algebras():
+        try:
+            vertices = enumerate_vertex_states(alg).vertices
+        except EmptyStateSpace:
+            continue
+        last_atom = derive_order(alg).atoms[-1]
+        for v in vertices:
+            # moving zero breaks every 0 + x = x row, and moving the unit
+            # breaks the unit value; the atom (the unit on two elements)
+            # turns negative
+            values = list(v)
+            values[alg.zero] += Fraction(1, 2)
+            values[alg.unit] += Fraction(1, 3)
+            values[last_atom] -= 2
+            messages = check_state(alg, values)
+            assert messages[0] == "value at the unit is not 1"
+            assert sum(m.startswith("additivity") for m in messages) >= 2
+            assert messages == scan_check_state(alg, values), alg.labels
