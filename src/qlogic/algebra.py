@@ -165,6 +165,28 @@ def validate_table(
     return _validate_checked(labels, zero, unit, rows)
 
 
+def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
+    """Build and validate an algebra from its partial sum, given as an operation.
+
+    The elements are numbered in the order given.  plus(a, b) is the element
+    a + b, or None where the sum is undefined; label(e) names element e.
+    """
+    elements = list(elements)
+    pos = {e: i for i, e in enumerate(elements)}
+    table = []
+    for a in elements:
+        row = []
+        for b in elements:
+            c = plus(a, b)
+            if c is not None and c not in pos:
+                raise MalformedTable(f"{label(a)}(+){label(b)} = {c!r}, not an element")
+            row.append(None if c is None else pos[c])
+        table.append(row)
+    # a zero or unit outside the elements fails validate_table's range check
+    labels = [label(e) for e in elements]
+    return validate_table(labels, pos.get(zero, -1), pos.get(unit, -1), table)
+
+
 def from_json_dict(doc: dict) -> FiniteEffectAlgebra:
     """Load an algebra from the published JSON format; unknown keys rejected."""
     if not isinstance(doc, dict):

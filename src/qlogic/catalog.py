@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import MAX_CARRIER, AlgebraError, FiniteEffectAlgebra, validate
+from .algebra import MAX_CARRIER, AlgebraError, FiniteEffectAlgebra, tabulate, validate
 
 MAX_SPEC_DEPTH = 100
 
@@ -26,12 +26,10 @@ def boolean_powerset(k: int) -> FiniteEffectAlgebra:
     def label(m):
         return "{" + ",".join(str(i + 1) for i in range(k) if m >> i & 1) + "}"
 
-    sums = []
-    for a in masks:
-        for b in masks:
-            if a & b == 0:
-                sums.append([label(a), label(b), label(a | b)])
-    return validate([label(m) for m in masks], label(0), label((1 << k) - 1), sums)
+    def plus(a, b):
+        return None if a & b else a | b
+
+    return tabulate(masks, 0, (1 << k) - 1, plus, label)
 
 
 def chain(d: int) -> FiniteEffectAlgebra:
@@ -46,13 +44,10 @@ def chain(d: int) -> FiniteEffectAlgebra:
             return "1"
         return f"{k}/{d}"
 
-    sums = [
-        [label(a), label(b), label(a + b)]
-        for a in range(d + 1)
-        for b in range(d + 1)
-        if a + b <= d
-    ]
-    return validate([label(k) for k in range(d + 1)], "0", "1", sums)
+    def plus(a, b):
+        return a + b if a + b <= d else None
+
+    return tabulate(range(d + 1), 0, d, plus, label)
 
 
 def mo(n: int) -> FiniteEffectAlgebra:
@@ -130,16 +125,14 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     def label(tup):
         return "(" + ",".join(c.labels[p] for c, p in zip(components, tup)) + ")"
 
-    elems = list(iproduct(*(range(c.size) for c in components)))
-    sums = []
-    for a in elems:
-        for b in elems:
-            cs = [comp.table[x][y] for comp, x, y in zip(components, a, b)]
-            if all(c is not None for c in cs):
-                sums.append([label(a), label(b), label(tuple(cs))])
-    zero = label(tuple(c.zero for c in components))
-    unit = label(tuple(c.unit for c in components))
-    return validate([label(t) for t in elems], zero, unit, sums)
+    def plus(a, b):
+        cs = tuple(comp.table[x][y] for comp, x, y in zip(components, a, b))
+        return None if None in cs else cs
+
+    elems = iproduct(*(range(c.size) for c in components))
+    zero = tuple(c.zero for c in components)
+    unit = tuple(c.unit for c in components)
+    return tabulate(elems, zero, unit, plus, label)
 
 
 # ---------------------------------------------------------------------------

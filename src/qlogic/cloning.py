@@ -81,10 +81,10 @@ def find_cloning_bimorphism(
 ) -> SearchOutcome:
     """Search for all/first cloning bimorphism tables, deterministically.
 
-    Branch cells are taken atom x atom first, then the remaining cells in
-    ascending index order; candidate values ascend.  Constraint propagation
-    derives sums and differences along orthogonal pairs and prunes
-    contradictions, so composite cells are rarely branched on.
+    Only the atom x atom cells are branched on, in atom order, with candidate
+    values ascending.  Propagation derives sums and differences along
+    orthogonal pairs and prunes contradictions; every element is a sum of
+    atoms and c is additive in each argument, so it fills every other cell.
     """
     n = alg.size
     sumt = alg.table
@@ -92,16 +92,7 @@ def find_cloning_bimorphism(
     lo = order.leq
     sub = order.difference
 
-    branch_cells: list[tuple[int, int]] = []
-    seen = set()
-    for p in order.atoms:
-        for q in order.atoms:
-            branch_cells.append((p, q))
-            seen.add((p, q))
-    for p in range(n):
-        for q in range(n):
-            if (p, q) not in seen:
-                branch_cells.append((p, q))
+    branch_cells = [(p, q) for p in order.atoms for q in order.atoms]
 
     def propagate(tab: list[list[ElementId | None]]) -> bool:
         changed = True
@@ -153,11 +144,7 @@ def find_cloning_bimorphism(
 
     def rec(tab: list[list[ElementId | None]]) -> None:
         nonlocal nodes, aborted
-        cell = None
-        for p, q in branch_cells:
-            if tab[p][q] is None:
-                cell = (p, q)
-                break
+        cell = next(((p, q) for p, q in branch_cells if tab[p][q] is None), None)
         if cell is None:
             full = tuple(tuple(row) for row in tab)
             ok, violation = verify_witness(alg, full)

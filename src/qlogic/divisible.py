@@ -11,9 +11,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, FiniteEffectAlgebra, find_isomorphism, validate
+from .algebra import AlgebraError, FiniteEffectAlgebra, find_isomorphism, tabulate
 from .catalog import boolean_powerset
 from .mv import DEFAULT_SEED, SampledMV
+
+MAX_DENOMINATOR = 24
 
 
 def _as_unit_fraction(x) -> Fraction:
@@ -146,25 +148,23 @@ def luka_neg(a) -> Fraction:
     return 1 - Fraction(a)
 
 
-def sample_fraction(rng: random.Random, max_denominator: int = 24) -> Fraction:
-    den = rng.randint(1, max_denominator)
+def sample_fraction(rng: random.Random) -> Fraction:
+    den = rng.randint(1, MAX_DENOMINATOR)
     return Fraction(rng.randint(0, den), den)
 
 
-def sample_function(
-    rng: random.Random, n: int, max_denominator: int = 24
-) -> IntervalFunction:
-    return IntervalFunction([sample_fraction(rng, max_denominator) for _ in range(n)])
+def sample_function(rng: random.Random, n: int) -> IntervalFunction:
+    return IntervalFunction([sample_fraction(rng) for _ in range(n)])
 
 
-def lukasiewicz_rationals(max_denominator: int = 24) -> SampledMV:
+def lukasiewicz_rationals() -> SampledMV:
     """The [0,1] Lukasiewicz MV prototype, probed on sampled rationals."""
     return SampledMV(
         plus=luka_plus,
         neg=luka_neg,
         zero=Fraction(0),
         one=Fraction(1),
-        sample=lambda rng: sample_fraction(rng, max_denominator),
+        sample=sample_fraction,
     )
 
 
@@ -177,16 +177,13 @@ def indicator_algebra(n: int) -> FiniteEffectAlgebra:
     def label(m):
         return "{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
 
-    sums = []
-    for a in masks:
-        for b in masks:
-            fa = indicator(n, {i for i in range(n) if a >> i & 1})
-            fb = indicator(n, {i for i in range(n) if b >> i & 1})
-            s = pointwise_sum(fa, fb)
-            if s is not None:
-                c = sum(1 << i for i in range(n) if s.values[i] == 1)
-                sums.append([label(a), label(b), label(c)])
-    return validate([label(m) for m in masks], label(0), label((1 << n) - 1), sums)
+    def plus(a, b):
+        fa = indicator(n, {i for i in range(n) if a >> i & 1})
+        fb = indicator(n, {i for i in range(n) if b >> i & 1})
+        s = pointwise_sum(fa, fb)
+        return None if s is None else sum(1 << i for i in range(n) if s.values[i] == 1)
+
+    return tabulate(masks, 0, (1 << n) - 1, plus, label)
 
 
 @dataclass(frozen=True)

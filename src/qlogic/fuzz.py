@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FiniteEffectAlgebra, validate_table
+from .algebra import FiniteEffectAlgebra, tabulate
 from . import catalog
 
 
@@ -44,21 +44,9 @@ def shuffle_carrier(
     alg: FiniteEffectAlgebra, rng: random.Random
 ) -> FiniteEffectAlgebra:
     """Re-validate the same algebra with a randomly permuted carrier order."""
-    n = alg.size
-    perm = list(range(n))
-    rng.shuffle(perm)  # new_index -> old_index
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    labels = [alg.labels[old] for old in perm]
-    table = [
-        [
-            None if alg.table[perm[p]][perm[q]] is None else inv[alg.table[perm[p]][perm[q]]]
-            for q in range(n)
-        ]
-        for p in range(n)
-    ]
-    return validate_table(labels, inv[alg.zero], inv[alg.unit], table)
+    order = list(alg.elements())
+    rng.shuffle(order)
+    return tabulate(order, alg.zero, alg.unit, alg.sum, alg.label)
 
 
 def random_algebra(rng: random.Random, max_size: int = 10) -> FiniteEffectAlgebra:

@@ -21,7 +21,7 @@ from .algebra import (
     FiniteEffectAlgebra,
     derive_order,
     is_sharp,
-    validate,
+    tabulate,
 )
 from .cloning import CloningWitness, verify_witness
 from .states import StatePolytope, check_state
@@ -140,14 +140,11 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
 
 def effect_algebra_of_mv(mv: FiniteMV) -> FiniteEffectAlgebra:
     """The induced effect algebra: a + b kept only when a <= b' in the MV order."""
-    labels = [str(e) for e in mv.elements]
-    pos = {e: labels[i] for i, e in enumerate(mv.elements)}
-    sums = []
-    for a in mv.elements:
-        for b in mv.elements:
-            if mv.leq(a, mv.neg(b)):
-                sums.append([pos[a], pos[b], pos[mv.plus(a, b)]])
-    return validate(labels, pos[mv.zero], pos[mv.one], sums)
+
+    def plus(a, b):
+        return mv.plus(a, b) if mv.leq(a, mv.neg(b)) else None
+
+    return tabulate(mv.elements, mv.zero, mv.one, plus, label=str)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def find_chain_decomposition(
         parts, acc, start = stack.pop()
         for i in range(start, len(candidates)):
             c = candidates[i]
-            s = alg.table[acc][c] if acc != alg.zero else c
+            s = alg.table[acc][c]
             if s is None:
                 continue
             if s == alg.unit:
@@ -289,13 +286,10 @@ def hidden_variable_construct(
     if not ok:
         raise ConstructionFailed(f"witness fails verification: {violation}")
 
-    acc = alg.zero
-    for p in parts:
-        nxt = alg.table[acc][p] if acc != alg.zero else p
-        if nxt is None:
-            raise ConstructionFailed("decomposition parts are not summable")
-        acc = nxt
-    if acc != alg.unit:
+    total = _orthosum(alg, parts)
+    if total is None:
+        raise ConstructionFailed("decomposition parts are not summable")
+    if total != alg.unit:
         raise ConstructionFailed("decomposition does not sum to the unit")
     for p in parts:
         if not is_sharp(alg, p):
@@ -349,20 +343,23 @@ def order_reflection_holds(model: HiddenVariableModel) -> bool:
     return True
 
 
+def _orthosum(alg: FiniteEffectAlgebra, parts) -> ElementId | None:
+    """The sum of parts, added left to right, or None where it is undefined."""
+    acc = alg.zero
+    for p in parts:
+        acc = alg.table[acc][p]
+        if acc is None:
+            return None
+    return acc
+
+
 def _lift_index(model: HiddenVariableModel) -> list[ElementId]:
     """For each MV element, in carrier order, the source sum of its components."""
-    alg = model.algebra
-    out = []
-    for m in model.mv.elements:
-        acc = alg.zero
-        for x in m:
-            nxt = alg.table[acc][x]
-            if nxt is None:
-                raise ConstructionFailed(
-                    "component tuple is not orthosummable in the source algebra"
-                )
-            acc = nxt
-        out.append(acc)
+    out = [_orthosum(model.algebra, m) for m in model.mv.elements]
+    if None in out:
+        raise ConstructionFailed(
+            "component tuple is not orthosummable in the source algebra"
+        )
     return out
 
 

@@ -223,3 +223,14 @@ def test_first_violation_matches_table_scan():
                     expected = scan_biadditivity(alg, table)
                     assert not expected[0]
                     assert verify_witness(alg, table) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, nodes",
+    [(f"boolean_powerset({k})", n) for k, n in zip(range(1, 6), (0, 2, 6, 12, 20))]
+    + [(f"mo({n})", 3) for n in range(2, 7)]
+    + [("wright_triangle()", 4)],
+)
+def test_search_node_counts(spec, nodes):
+    outcome = find_cloning_bimorphism(catalog.build_spec(spec), enumerate_all=True)
+    assert outcome.nodes_explored == nodes

@@ -1,0 +1,189 @@
+"""tabulate and the constructors built on it, against label-triple oracles.
+
+Each oracle builds its algebra the way the constructors did before they
+passed their sum rule to tabulate: it writes every defined sum out as a label
+triple for validate to parse, or, for the carrier shuffle, permutes the table
+by hand.  The constructors must give the same labels, zero, unit and table.
+"""
+
+import random
+from itertools import product as iproduct
+
+import pytest
+
+from qlogic import catalog
+from qlogic.algebra import (
+    CommutativityViolation,
+    MalformedTable,
+    derive_order,
+    tabulate,
+    validate,
+    validate_table,
+)
+from qlogic.cloning import find_cloning_bimorphism
+from qlogic.divisible import indicator, indicator_algebra, pointwise_sum
+from qlogic.fuzz import shuffle_carrier
+from qlogic.mv import effect_algebra_of_mv, hidden_variable_construct
+from test_algebra import catalog_suite
+from test_mv import luka_chain
+
+
+def fields(alg):
+    return alg.labels, alg.zero, alg.unit, alg.table
+
+
+def set_label(n, m):
+    return "{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
+
+
+def masks_by_size(n):
+    return sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+
+
+def powerset_by_triples(k):
+    masks = masks_by_size(k)
+    sums = [
+        [set_label(k, a), set_label(k, b), set_label(k, a | b)]
+        for a in masks
+        for b in masks
+        if a & b == 0
+    ]
+    labels = [set_label(k, m) for m in masks]
+    return validate(labels, set_label(k, 0), set_label(k, (1 << k) - 1), sums)
+
+
+def chain_by_triples(d):
+    def label(k):
+        return "0" if k == 0 else "1" if k == d else f"{k}/{d}"
+
+    sums = [
+        [label(a), label(b), label(a + b)]
+        for a in range(d + 1)
+        for b in range(d + 1)
+        if a + b <= d
+    ]
+    return validate([label(k) for k in range(d + 1)], "0", "1", sums)
+
+
+def product_by_triples(*components):
+    def label(tup):
+        return "(" + ",".join(c.labels[p] for c, p in zip(components, tup)) + ")"
+
+    elems = list(iproduct(*(range(c.size) for c in components)))
+    sums = []
+    for a in elems:
+        for b in elems:
+            cs = [comp.table[x][y] for comp, x, y in zip(components, a, b)]
+            if all(c is not None for c in cs):
+                sums.append([label(a), label(b), label(tuple(cs))])
+    zero = label(tuple(c.zero for c in components))
+    unit = label(tuple(c.unit for c in components))
+    return validate([label(t) for t in elems], zero, unit, sums)
+
+
+def indicators_by_triples(n):
+    masks = masks_by_size(n)
+    sums = []
+    for a in masks:
+        for b in masks:
+            fa = indicator(n, {i for i in range(n) if a >> i & 1})
+            fb = indicator(n, {i for i in range(n) if b >> i & 1})
+            s = pointwise_sum(fa, fb)
+            if s is not None:
+                c = sum(1 << i for i in range(n) if s.values[i] == 1)
+                sums.append([set_label(n, a), set_label(n, b), set_label(n, c)])
+    labels = [set_label(n, m) for m in masks]
+    return validate(labels, set_label(n, 0), set_label(n, (1 << n) - 1), sums)
+
+
+def mv_by_triples(mv):
+    labels = [str(e) for e in mv.elements]
+    pos = {e: labels[i] for i, e in enumerate(mv.elements)}
+    sums = [
+        [pos[a], pos[b], pos[mv.plus(a, b)]]
+        for a in mv.elements
+        for b in mv.elements
+        if mv.leq(a, mv.neg(b))
+    ]
+    return validate(labels, pos[mv.zero], pos[mv.one], sums)
+
+
+def shuffle_by_permutation(alg, rng):
+    n = alg.size
+    perm = list(range(n))
+    rng.shuffle(perm)  # new index -> old index
+    inv = [0] * n
+    for new, old in enumerate(perm):
+        inv[old] = new
+    labels = [alg.labels[old] for old in perm]
+    table = [
+        [
+            None if alg.table[perm[p]][perm[q]] is None
+            else inv[alg.table[perm[p]][perm[q]]]
+            for q in range(n)
+        ]
+        for p in range(n)
+    ]
+    return validate_table(labels, inv[alg.zero], inv[alg.unit], table)
+
+
+def test_powerset_matches_label_triples():
+    for k in range(1, 6):
+        assert fields(catalog.boolean_powerset(k)) == fields(powerset_by_triples(k))
+
+
+def test_chain_matches_label_triples():
+    for d in range(1, 13):
+        assert fields(catalog.chain(d)) == fields(chain_by_triples(d))
+
+
+def test_indicator_algebra_matches_label_triples():
+    for n in range(1, 6):
+        assert fields(indicator_algebra(n)) == fields(indicators_by_triples(n))
+
+
+def test_product_matches_label_triples():
+    pool = [
+        catalog.boolean_powerset(1),
+        catalog.boolean_powerset(2),
+        catalog.chain(2),
+        catalog.chain(3),
+        catalog.mo(2),
+    ]
+    for a in pool:
+        for b in pool:
+            assert fields(catalog.product(a, b)) == fields(product_by_triples(a, b))
+
+
+def test_shuffle_carrier_matches_permuted_table():
+    for alg in catalog_suite():
+        for seed in range(20):
+            got = shuffle_carrier(alg, random.Random(seed))
+            expected = shuffle_by_permutation(alg, random.Random(seed))
+            assert fields(got) == fields(expected)
+
+
+def hidden_variable_mv(k):
+    alg = catalog.boolean_powerset(k)
+    witness = find_cloning_bimorphism(alg).witnesses[0]
+    return hidden_variable_construct(alg, witness, derive_order(alg).atoms).mv
+
+
+def test_effect_algebra_of_mv_matches_label_triples():
+    mvs = [luka_chain(steps) for steps in range(1, 5)]
+    mvs += [hidden_variable_mv(k) for k in range(1, 4)]
+    for mv in mvs:
+        assert fields(effect_algebra_of_mv(mv)) == fields(mv_by_triples(mv))
+
+
+def test_tabulate_rejects_sum_outside_elements():
+    with pytest.raises(MalformedTable):
+        tabulate(range(3), 0, 2, lambda a, b: a + b)
+
+
+def test_tabulate_rejects_one_sided_sum():
+    def plus(a, b):
+        return a + b if a <= b and a + b <= 2 else None
+
+    with pytest.raises(CommutativityViolation):
+        tabulate(range(3), 0, 2, plus)
