@@ -135,6 +135,7 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         if not decomps:
             return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
+    states.require_state_carrier(alg)
     try:
         model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
     except mv.ConstructionFailed as exc:

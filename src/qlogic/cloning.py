@@ -85,6 +85,15 @@ def find_cloning_bimorphism(
     values ascending.  Propagation derives sums and differences along
     orthogonal pairs and prunes contradictions; every element is a sum of
     atoms and c is additive in each argument, so it fills every other cell.
+
+    Propagation is a worklist (AC-3, Mackworth 1977): a cell (r, c) that
+    changed re-checks only the constraints it occurs in, the column-c
+    constraints of the sum triples that contain r and the row-r constraints
+    of those that contain c.  Each rule fills a cell with the one value its
+    other two cells force, so the fixpoint does not depend on the order the
+    cells are taken in.  The root starts from the seeded unit and zero rows
+    and columns; a branch starts from its one new cell, because its parent
+    table is already at the fixpoint.
     """
     n = alg.size
     sumt = alg.table
@@ -93,42 +102,44 @@ def find_cloning_bimorphism(
     sub = order.difference
 
     branch_cells = [(p, q) for p in order.atoms for q in order.atoms]
+    touch: list[list[tuple[ElementId, ElementId, ElementId]]] = [[] for _ in range(n)]
+    for triple in order.sums:
+        for x in set(triple):
+            touch[x].append(triple)
 
-    def propagate(tab: list[list[ElementId | None]]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for a, b, s in order.sums:
-                for q in range(n):
-                    for (ra, ca), (rb, cb), (rs, cs) in (
-                        (((a, q)), ((b, q)), ((s, q))),
-                        (((q, a)), ((q, b)), ((q, s))),
-                    ):
-                        x = tab[ra][ca]
-                        y = tab[rb][cb]
-                        z = tab[rs][cs]
-                        if x is not None and y is not None:
-                            w = sumt[x][y]
-                            if w is None:
-                                return False
-                            if z is None:
-                                tab[rs][cs] = w
-                                changed = True
-                            elif z != w:
-                                return False
-                        elif z is not None:
-                            if x is not None:
-                                w = sub[x][z]
-                                if w is None:
-                                    return False
-                                tab[rb][cb] = w
-                                changed = True
-                            elif y is not None:
-                                w = sub[y][z]
-                                if w is None:
-                                    return False
-                                tab[ra][ca] = w
-                                changed = True
+    def propagate(
+        tab: list[list[ElementId | None]], work: list[tuple[ElementId, ElementId]]
+    ) -> bool:
+        while work:
+            r, c = work.pop()
+            constraints = [((a, c), (b, c), (s, c)) for a, b, s in touch[r]]
+            constraints += [((r, a), (r, b), (r, s)) for a, b, s in touch[c]]
+            for (ra, ca), (rb, cb), (rs, cs) in constraints:
+                x = tab[ra][ca]
+                y = tab[rb][cb]
+                z = tab[rs][cs]
+                if x is not None and y is not None:
+                    w = sumt[x][y]
+                    if w is None:
+                        return False
+                    if z is None:
+                        tab[rs][cs] = w
+                        work.append((rs, cs))
+                    elif z != w:
+                        return False
+                elif z is not None:
+                    if x is not None:
+                        w = sub[x][z]
+                        if w is None:
+                            return False
+                        tab[rb][cb] = w
+                        work.append((rb, cb))
+                    elif y is not None:
+                        w = sub[y][z]
+                        if w is None:
+                            return False
+                        tab[ra][ca] = w
+                        work.append((ra, ca))
         return True
 
     seed: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
@@ -137,6 +148,7 @@ def find_cloning_bimorphism(
         seed[alg.unit][p] = p
         seed[p][alg.zero] = alg.zero
         seed[alg.zero][p] = alg.zero
+    seeded = [(p, q) for p in range(n) for q in range(n) if seed[p][q] is not None]
 
     witnesses: list[CloningWitness] = []
     nodes = 0
@@ -163,13 +175,13 @@ def find_cloning_bimorphism(
                 return
             nxt = [row[:] for row in tab]
             nxt[p][q] = v
-            if propagate(nxt):
+            if propagate(nxt, [(p, q)]):
                 rec(nxt)
             if aborted or (witnesses and not enumerate_all):
                 return
 
     try:
-        if propagate(seed):
+        if propagate(seed, seeded):
             rec(seed)
     finally:
         del rec  # rec refers to itself through its closure: break the cycle

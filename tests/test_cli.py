@@ -324,6 +324,34 @@ def test_state_enumeration_cap_exits_3(tmp_path, command, spec):
     assert error.startswith("vertex enumeration supports carriers up to 32")
 
 
+@pytest.mark.parametrize(
+    "spec, parts, code",
+    [
+        # 36 elements, not Boolean: no witness comes before the cap
+        ("product(mo(2),mo(2))", None, EXIT_FAIL),
+        # 64 elements, Boolean: a bad label comes before the cap
+        ("product(boolean_powerset(1),boolean_powerset(5))", "nolabel", EXIT_BAD_INPUT),
+        # the zero does not sum to the unit, but the cap is checked before
+        # the construction is tried
+        ("product(boolean_powerset(1),boolean_powerset(5))", "({},{})", EXIT_ABORTED),
+    ],
+)
+def test_hidden_checks_state_cap_before_construction(tmp_path, spec, parts, code):
+    path = tmp_path / "big.json"
+    path.write_text(catalog.build_spec(spec).to_json())
+    argv = ["hidden", str(path), "--format", "json"]
+    if parts is not None:
+        argv += ["--parts", parts]
+    proc = run_process(*argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stdout + proc.stderr
+    results = last_json(proc.stdout)["results"]
+    if code == EXIT_ABORTED:
+        assert results["error"].startswith("vertex enumeration supports carriers up to 32")
+    else:
+        assert "model" not in results
+
+
 report_validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 json_values = st.recursive(
     st.none()

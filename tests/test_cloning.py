@@ -3,8 +3,9 @@
 import pytest
 
 from qlogic import catalog
-from qlogic.algebra import NotAnOrthoalgebra, is_boolean
+from qlogic.algebra import NotAnOrthoalgebra, derive_order, is_boolean
 from qlogic.cloning import (
+    DEFAULT_NODE_BUDGET,
     DecompositionMismatch,
     NotBoolean,
     check_witness_lemmas,
@@ -13,6 +14,7 @@ from qlogic.cloning import (
     meet_witness,
     verify_witness,
 )
+from qlogic.fuzz import random_algebras
 from test_algebra import catalog_suite
 
 
@@ -234,3 +236,139 @@ def test_first_violation_matches_table_scan():
 def test_search_node_counts(spec, nodes):
     outcome = find_cloning_bimorphism(catalog.build_spec(spec), enumerate_all=True)
     assert outcome.nodes_explored == nodes
+
+
+@pytest.mark.parametrize(
+    "spec, nodes",
+    [
+        ("product(boolean_powerset(2),boolean_powerset(2),boolean_powerset(2))", 30),
+        ("horizontal_sum(boolean_powerset(5),boolean_powerset(5))", 6),
+        ("product(boolean_powerset(3),chain(5))", 2),
+        ("product(mo(2),mo(2))", 4),
+        ("horizontal_sum(mo(6),boolean_powerset(5),wright_triangle())", 3),
+    ],
+)
+def test_search_node_counts_on_large_carriers(spec, nodes):
+    outcome = find_cloning_bimorphism(catalog.build_spec(spec), enumerate_all=True)
+    assert outcome.nodes_explored == nodes
+
+
+def rescan_search(alg, enumerate_all=False, node_budget=DEFAULT_NODE_BUDGET):
+    """Oracle: the search with full-rescan propagation.
+
+    Every pass re-checks every sum triple in every row and column until a
+    pass changes nothing.  Returns (status, nodes explored, witness tables).
+    """
+    n = alg.size
+    sumt = alg.table
+    order = derive_order(alg)
+    lo = order.leq
+    sub = order.difference
+    branch_cells = [(p, q) for p in order.atoms for q in order.atoms]
+
+    def propagate(tab):
+        changed = True
+        while changed:
+            changed = False
+            for a, b, s in order.sums:
+                for q in range(n):
+                    for (ra, ca), (rb, cb), (rs, cs) in (
+                        ((a, q), (b, q), (s, q)),
+                        ((q, a), (q, b), (q, s)),
+                    ):
+                        x = tab[ra][ca]
+                        y = tab[rb][cb]
+                        z = tab[rs][cs]
+                        if x is not None and y is not None:
+                            w = sumt[x][y]
+                            if w is None:
+                                return False
+                            if z is None:
+                                tab[rs][cs] = w
+                                changed = True
+                            elif z != w:
+                                return False
+                        elif z is not None:
+                            if x is not None:
+                                w = sub[x][z]
+                                if w is None:
+                                    return False
+                                tab[rb][cb] = w
+                                changed = True
+                            elif y is not None:
+                                w = sub[y][z]
+                                if w is None:
+                                    return False
+                                tab[ra][ca] = w
+                                changed = True
+        return True
+
+    seed = [[None] * n for _ in range(n)]
+    for p in range(n):
+        seed[p][alg.unit] = p
+        seed[alg.unit][p] = p
+        seed[p][alg.zero] = alg.zero
+        seed[alg.zero][p] = alg.zero
+
+    tables = []
+    nodes = 0
+    aborted = False
+
+    def rec(tab):
+        nonlocal nodes, aborted
+        cell = next(((p, q) for p, q in branch_cells if tab[p][q] is None), None)
+        if cell is None:
+            tables.append(tuple(tuple(row) for row in tab))
+            return
+        p, q = cell
+        for v in range(n):
+            if not (lo[v][p] and lo[v][q]):
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                aborted = True
+                return
+            nxt = [row[:] for row in tab]
+            nxt[p][q] = v
+            if propagate(nxt):
+                rec(nxt)
+            if aborted or (tables and not enumerate_all):
+                return
+
+    if propagate(seed):
+        rec(seed)
+    tables.sort()
+    if aborted:
+        status = "aborted"
+    elif tables:
+        status = "witness-found"
+    else:
+        status = "no-witness"
+    return status, nodes, tables
+
+
+@pytest.fixture(scope="module")
+def oracle_suite():
+    # bp(4) explores 12 nodes, so a 7-node budget aborts on it
+    suite = catalog_suite() + [catalog.boolean_powerset(4)]
+    for seed in (1, 7, 202):
+        suite += random_algebras(seed, 100)
+    return suite
+
+
+@pytest.mark.parametrize("node_budget", [3, 7, DEFAULT_NODE_BUDGET])
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_search_matches_rescan_oracle(oracle_suite, enumerate_all, node_budget):
+    statuses = set()
+    for alg in oracle_suite:
+        outcome = find_cloning_bimorphism(alg, enumerate_all, node_budget)
+        assert (
+            outcome.status,
+            outcome.nodes_explored,
+            [w.table for w in outcome.witnesses],
+        ) == rescan_search(alg, enumerate_all, node_budget)
+        statuses.add(outcome.status)
+    expected = {"witness-found", "no-witness"}
+    if node_budget < DEFAULT_NODE_BUDGET:
+        expected.add("aborted")
+    assert statuses == expected
