@@ -146,25 +146,6 @@ def validate(elements, zero: str, unit: str, sums) -> FiniteEffectAlgebra:
     return _validate_checked(labels, pos[zero], pos[unit], table)
 
 
-def validate_table(
-    labels, zero: ElementId, unit: ElementId, table
-) -> FiniteEffectAlgebra:
-    """Validate a raw square table (no symmetrization; asymmetry is an error)."""
-    labels = tuple(labels)
-    if not (0 <= zero < len(labels)) or not (0 <= unit < len(labels)):
-        raise MalformedTable("zero/unit index out of range")
-    _check_structure(labels, labels[zero], labels[unit])
-    n = len(labels)
-    rows = [list(row) for row in table]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise MalformedTable("sum table is not square over the carrier")
-    for row in rows:
-        for v in row:
-            if v is not None and not (0 <= v < n):
-                raise MalformedTable(f"table value {v!r} out of range")
-    return _validate_checked(labels, zero, unit, rows)
-
-
 def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
     """Build and validate an algebra from its partial sum, given as an operation.
 
@@ -182,9 +163,11 @@ def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
                 raise MalformedTable(f"{label(a)}(+){label(b)} = {c!r}, not an element")
             row.append(None if c is None else pos[c])
         table.append(row)
-    # a zero or unit outside the elements fails validate_table's range check
-    labels = [label(e) for e in elements]
-    return validate_table(labels, pos.get(zero, -1), pos.get(unit, -1), table)
+    if zero not in pos or unit not in pos:
+        raise MalformedTable("zero/unit index out of range")
+    labels = tuple(label(e) for e in elements)
+    _check_structure(labels, labels[pos[zero]], labels[pos[unit]])
+    return _validate_checked(labels, pos[zero], pos[unit], table)
 
 
 def from_json_dict(doc: dict) -> FiniteEffectAlgebra:

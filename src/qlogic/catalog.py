@@ -11,20 +11,30 @@ from itertools import product as iproduct
 from .algebra import MAX_CARRIER, AlgebraError, FiniteEffectAlgebra, tabulate, validate
 
 MAX_SPEC_DEPTH = 100
+MAX_POWERSET = 5
 
 
 class BoundExceeded(AlgebraError):
     pass
 
 
-def boolean_powerset(k: int) -> FiniteEffectAlgebra:
-    """Subsets of {1..k} under disjoint union; the Boolean reference family."""
-    if not 1 <= k <= 5:
-        raise BoundExceeded(f"boolean_powerset supports 1 <= k <= 5, got {k}")
+def subset_carrier(k: int):
+    """Subsets of {1..k} as bitmasks by size, then value; labels like "{1,3}"."""
     masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
 
     def label(m):
         return "{" + ",".join(str(i + 1) for i in range(k) if m >> i & 1) + "}"
+
+    return masks, label
+
+
+def boolean_powerset(k: int) -> FiniteEffectAlgebra:
+    """Subsets of {1..k} under disjoint union; the Boolean reference family."""
+    if not 1 <= k <= MAX_POWERSET:
+        raise BoundExceeded(
+            f"boolean_powerset supports 1 <= k <= {MAX_POWERSET}, got {k}"
+        )
+    masks, label = subset_carrier(k)
 
     def plus(a, b):
         return None if a & b else a | b

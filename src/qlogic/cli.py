@@ -13,6 +13,7 @@ algebra and the parsed arguments to its results and exit code.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -25,11 +26,14 @@ EXIT_ABORTED = 3
 
 
 def _read(path: str) -> tuple[str, str]:
-    """The input file's digest and UTF-8 text; MalformedTable if unreadable."""
+    """The input file's digest and UTF-8 text; MalformedTable if unreadable.
+
+    The file is read once, so a pipe works and the digest is of the bytes
+    parsed; they are decoded as text mode would, universal newlines included.
+    """
     try:
-        digest = reports.digest_file(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            return digest, handle.read()
+        digest, data = reports.digest_file(path)
+        return digest, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise algebra.MalformedTable(f"cannot read {path}: {exc}") from exc
 
@@ -125,7 +129,7 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         return {"error": "cloning search aborted"}, EXIT_ABORTED
     if outcome.status == "no-witness":
         return _unmet("no cloning witness exists")
-    if args.parts:
+    if args.parts is not None:
         try:
             parts = tuple(alg.index(lbl) for lbl in _split_parts(args.parts))
         except algebra.MalformedTable as exc:
@@ -135,15 +139,13 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         if not decomps:
             return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
-    states.require_state_carrier(alg)
-    try:
-        model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
-    except mv.ConstructionFailed as exc:
-        return _unmet(str(exc))
     try:
         poly = states.enumerate_vertex_states(alg)
+        model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
     except states.EmptyStateSpace:
         return _unmet("the algebra has no states")
+    except mv.ConstructionFailed as exc:
+        return _unmet(str(exc))
     verification = mv.verify_hidden_variable(model, poly, seed=args.seed)
     results = {
         "hypothesis_met": True,

@@ -215,8 +215,6 @@ def verify_witness(
             return False, f"unit law fails: c({labels[p]}, 1) != {labels[p]}"
         if table[alg.unit][p] != p:
             return False, f"unit law fails: c(1, {labels[p]}) != {labels[p]}"
-    if table[alg.unit][alg.unit] != alg.unit:
-        return False, "c(1, 1) != 1"
     for a, b, s in derive_order(alg).sums:
         for q in range(n):
             w = sumt[table[a][q]][table[b][q]]

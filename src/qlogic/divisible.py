@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, FiniteEffectAlgebra, find_isomorphism, tabulate
-from .catalog import boolean_powerset
+from .catalog import MAX_POWERSET, boolean_powerset, subset_carrier
 from .mv import DEFAULT_SEED, SampledMV
 
 MAX_DENOMINATOR = 24
@@ -172,10 +172,7 @@ def indicator_algebra(n: int) -> FiniteEffectAlgebra:
     """The {0,1}-valued elements with the inherited (disjoint-support) sums."""
     if n > 16:
         raise AlgebraError("indicator enumeration supports N <= 16")
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-
-    def label(m):
-        return "{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
+    masks, label = subset_carrier(n)
 
     def plus(a, b):
         fa = indicator(n, {i for i in range(n) if a >> i & 1})
@@ -193,7 +190,7 @@ class SharpElementsReport:
     all_indicators_sharp: bool
     closed_under_sum_and_complement: bool
     sampled_nonindicators_unsharp: bool
-    isomorphic_to_powerset: bool | None  # None when N exceeds the powerset cap
+    isomorphic_to_powerset: bool | None  # None when N exceeds MAX_POWERSET
     seed: int
 
     @property
@@ -247,7 +244,7 @@ def sharp_elements_report(
             nonind_ok = False
 
     iso: bool | None = None
-    if n <= 5:
+    if n <= MAX_POWERSET:
         iso = find_isomorphism(indicator_algebra(n), boolean_powerset(n)) is not None
 
     return SharpElementsReport(

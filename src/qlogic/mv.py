@@ -89,12 +89,20 @@ class MVReport:
 
 def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED) -> MVReport:
     """Verify the eight MV identities, exhaustively or on sampled triples."""
-    violations = []
     plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
-    if neg(zero) != one:
-        violations.append("0' != 1")
-
-    def check_triple(a, b, c):
+    if carrier.elements is not None:
+        mode, seed = "exhaustive", None
+        triples = iproduct(carrier.elements, repeat=3)
+    else:
+        mode, rng = "sampled", random.Random(seed)
+        triples = (
+            (carrier.sample(rng), carrier.sample(rng), carrier.sample(rng))
+            for _ in range(sample_budget)
+        )
+    violations = [] if neg(zero) == one else ["0' != 1"]
+    count = 0
+    for a, b, c in triples:
+        count += 1
         if plus(a, b) != plus(b, a):
             violations.append(f"commutativity fails on ({a}, {b})")
         if plus(plus(a, b), c) != plus(a, plus(b, c)):
@@ -111,28 +119,10 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
         rhs = plus(neg(plus(a, neg(b))), a)
         if lhs != rhs:
             violations.append(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
-
-    if carrier.elements is not None:
-        count = 0
-        for a in carrier.elements:
-            for b in carrier.elements:
-                for c in carrier.elements:
-                    check_triple(a, b, c)
-                    count += 1
-        return MVReport(
-            passed=not violations,
-            mode="exhaustive",
-            triples_checked=count,
-            violations=tuple(violations),
-        )
-
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
-        check_triple(carrier.sample(rng), carrier.sample(rng), carrier.sample(rng))
     return MVReport(
         passed=not violations,
-        mode="sampled",
-        triples_checked=sample_budget,
+        mode=mode,
+        triples_checked=count,
         violations=tuple(violations),
         seed=seed,
     )

@@ -22,9 +22,11 @@ REPORT_SCHEMA = {
 }
 
 
-def digest_file(path: str) -> str:
+def digest_file(path: str) -> tuple[str, bytes]:
+    """The SHA-256 hex digest of the file and the bytes it was taken from."""
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        data = handle.read()
+    return hashlib.sha256(data).hexdigest(), data
 
 
 def make_report(

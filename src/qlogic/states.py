@@ -125,22 +125,17 @@ def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
     return dec
 
 
-def require_state_carrier(alg: FiniteEffectAlgebra) -> None:
-    """Raise StateCarrierTooLarge above MAX_STATE_CARRIER elements."""
-    if alg.size > MAX_STATE_CARRIER:
-        raise StateCarrierTooLarge(
-            f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
-            f"elements, got {alg.size}"
-        )
-
-
 def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     """Exact vertex enumeration of the state polytope, in atom coordinates.
 
     Raises EmptyStateSpace when the algebra admits no states, and
     StateCarrierTooLarge above MAX_STATE_CARRIER elements.
     """
-    require_state_carrier(alg)
+    if alg.size > MAX_STATE_CARRIER:
+        raise StateCarrierTooLarge(
+            f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
+            f"elements, got {alg.size}"
+        )
     dec = atom_decompositions(alg)
     m = len(dec[alg.zero])
     rows = {dec[alg.unit] + (1,)}

@@ -33,8 +33,8 @@ from qlogic.algebra import (
     meet,
     sharp_elements,
     structure_report,
+    tabulate,
     validate,
-    validate_table,
 )
 from qlogic.fuzz import random_algebras
 from qlogic.mv import find_chain_decomposition
@@ -76,7 +76,7 @@ def test_one_sided_table_raises_commutativity():
         table[i][0] = i
     table[1][2] = 3
     with pytest.raises(CommutativityViolation) as err:
-        validate_table(labels, 0, 3, table)
+        tabulate(range(4), 0, 3, lambda a, b: table[a][b], labels.__getitem__)
     assert set(err.value.witnesses) == {"a", "b"}
 
 

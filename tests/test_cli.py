@@ -1,6 +1,7 @@
 """Command-line interface: one path per command, exit codes, report schema."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -176,6 +177,12 @@ def test_hidden_unknown_part_label(capsys, p11_file):
     assert last_json(out)["results"]["error"] == "unknown element label '({},{2})'"
 
 
+def test_hidden_empty_parts_is_an_unknown_label(capsys, bp2_file):
+    code, out = run(capsys, "hidden", bp2_file, "--format", "json", "--parts", "")
+    assert code == EXIT_BAD_INPUT
+    assert last_json(out)["results"]["error"] == "unknown element label ''"
+
+
 def test_hidden_hypothesis_unmet(capsys, mo2_file):
     code, out = run(capsys, "hidden", mo2_file, "--format", "json")
     assert code == EXIT_FAIL
@@ -225,12 +232,13 @@ def test_catalog_spec_with_bad_arguments(capsys, spec):
     assert "error" in last_json(out)["results"]
 
 
-def run_process(*argv, stdout=subprocess.PIPE):
+def run_process(*argv, stdout=subprocess.PIPE, stdin_text=None):
     """The CLI in a fresh interpreter, so an uncaught error prints a traceback."""
     src = str(Path(qlogic.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qlogic.cli", *argv],
+        input=stdin_text,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -248,6 +256,22 @@ def test_validate_malformed_sum_entry(tmp_path, sums):
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stdout + proc.stderr
     assert last_json(proc.stdout)["results"]["valid"] is False
+
+
+def test_validate_reads_piped_input():
+    text = catalog.boolean_powerset(2).to_json() + "\n"
+    proc = run_process("validate", "/dev/stdin", "--format", "json", stdin_text=text)
+    assert proc.returncode == EXIT_OK
+    doc = last_json(proc.stdout)
+    assert doc["results"] == {"valid": True}
+    assert doc["input_digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_input_digest_is_the_file_digest(bp2_file):
+    proc = run_process("validate", bp2_file, "--format", "json")
+    assert proc.returncode == EXIT_OK
+    expected = hashlib.sha256(Path(bp2_file).read_bytes()).hexdigest()
+    assert last_json(proc.stdout)["input_digest"] == expected
 
 
 def test_catalog_deeply_nested_spec():

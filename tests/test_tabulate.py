@@ -2,8 +2,9 @@
 
 Each oracle builds its algebra the way the constructors did before they
 passed their sum rule to tabulate: it writes every defined sum out as a label
-triple for validate to parse, or, for the carrier shuffle, permutes the table
-by hand.  The constructors must give the same labels, zero, unit and table.
+triple for validate to parse; for the carrier shuffle it lists the labels in
+a hand-permuted order.  The constructors must give the same labels, zero,
+unit and table.
 """
 
 import random
@@ -18,7 +19,6 @@ from qlogic.algebra import (
     derive_order,
     tabulate,
     validate,
-    validate_table,
 )
 from qlogic.cloning import find_cloning_bimorphism
 from qlogic.divisible import indicator, indicator_algebra, pointwise_sum
@@ -109,22 +109,16 @@ def mv_by_triples(mv):
 
 
 def shuffle_by_permutation(alg, rng):
-    n = alg.size
-    perm = list(range(n))
+    perm = list(range(alg.size))
     rng.shuffle(perm)  # new index -> old index
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    labels = [alg.labels[old] for old in perm]
-    table = [
-        [
-            None if alg.table[perm[p]][perm[q]] is None
-            else inv[alg.table[perm[p]][perm[q]]]
-            for q in range(n)
-        ]
-        for p in range(n)
+    lbl = alg.labels
+    sums = [
+        [lbl[p], lbl[q], lbl[alg.table[p][q]]]
+        for p in alg.elements()
+        for q in alg.elements()
+        if alg.table[p][q] is not None
     ]
-    return validate_table(labels, inv[alg.zero], inv[alg.unit], table)
+    return validate([lbl[old] for old in perm], lbl[alg.zero], lbl[alg.unit], sums)
 
 
 def test_powerset_matches_label_triples():
@@ -187,3 +181,12 @@ def test_tabulate_rejects_one_sided_sum():
 
     with pytest.raises(CommutativityViolation):
         tabulate(range(3), 0, 2, plus)
+
+
+@pytest.mark.parametrize("zero, unit", [(3, 2), (0, 3), (None, 2)])
+def test_tabulate_rejects_zero_or_unit_outside_elements(zero, unit):
+    def plus(a, b):
+        return a + b if a + b <= 2 else None
+
+    with pytest.raises(MalformedTable, match="zero/unit index out of range"):
+        tabulate(range(3), zero, unit, plus)
