@@ -28,13 +28,14 @@ EXIT_ABORTED = 3
 def _read(path: str) -> tuple[str, str]:
     """The input file's digest and UTF-8 text; MalformedTable if unreadable.
 
-    The file is read once, so a pipe works and the digest is of the bytes
-    parsed; they are decoded as text mode would, universal newlines included.
+    A file larger than reports.MAX_INPUT_BYTES is unreadable too.  The file
+    is read once, so a pipe works and the digest is of the bytes parsed;
+    they are decoded as text mode would, universal newlines included.
     """
     try:
         digest, data = reports.digest_file(path)
         return digest, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, or past the cap
         raise algebra.MalformedTable(f"cannot read {path}: {exc}") from exc
 
 

@@ -22,10 +22,21 @@ REPORT_SCHEMA = {
 }
 
 
+# Input files larger than this are refused unread; the largest catalog
+# algebra, a 64-element carrier, is about 44 KB of indented JSON.
+MAX_INPUT_BYTES = 1 << 22
+
+
 def digest_file(path: str) -> tuple[str, bytes]:
-    """The SHA-256 hex digest of the file and the bytes it was taken from."""
+    """The SHA-256 hex digest of the file and the bytes it was taken from.
+
+    Reads at most MAX_INPUT_BYTES + 1 bytes, so an endless input ends the
+    read too; ValueError if the file is larger than MAX_INPUT_BYTES.
+    """
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"input is larger than {MAX_INPUT_BYTES} bytes")
     return hashlib.sha256(data).hexdigest(), data
 
 

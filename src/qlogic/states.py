@@ -8,17 +8,24 @@ of x.  The state polytope is therefore the polytope of atom weights w >= 0
 (nonnegativity on atoms gives it everywhere, since ``dec >= 0``) with
 ``(dec[a] + dec[b] - dec[c]) . w = 0`` for every ``a + b = c`` and
 ``dec[1] . w = 1`` (Greechie's atom-weight view of states), mapped onto the
-element-coordinate polytope by w -> dec . w.  That equality system is
-reduced once; each vertex then solves the small system that one choice of
-zero atoms leaves in the reduced system's free variables, entirely over
-Fractions, and is mapped back to all elements.
+element-coordinate polytope by w -> dec . w.
+
+That equality system is reduced once, by fraction-free Gauss-Jordan
+elimination on integers, which solves each pivot atom's weight for the free
+atoms'.  What is left is the cone of (x, t) >= 0 over the free atoms x and
+a homogenizing t, cut by one inequality per pivot atom (its weight is
+nonnegative).  Its extreme rays come from the double description method
+(Motzkin et al. 1953; Fukuda and Prodon 1996): primitive integer rays,
+refined one inequality at a time, combining only adjacent pairs.  Every
+extreme ray has t > 0 (the polytope is bounded) and is one vertex; the
+only Fractions made are the returned vertex coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 
 from .algebra import AlgebraError, ElementId, FiniteEffectAlgebra, derive_order
 
@@ -77,31 +84,6 @@ def state_constraints(
     return rows
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]] | None:
-    """Reduced row echelon form of an augmented matrix; None if inconsistent."""
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0]) - 1 if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][-1] != 0:
-            return None
-    return mat[:r], pivots
-
-
 def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
     """``dec[x]``: atom multiplicities of one decomposition of x into atoms.
 
@@ -126,7 +108,7 @@ def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
 
 
 def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
-    """Exact vertex enumeration of the state polytope, in atom coordinates.
+    """Exact vertex enumeration of the state polytope, by double description.
 
     Raises EmptyStateSpace when the algebra admits no states, and
     StateCarrierTooLarge above MAX_STATE_CARRIER elements.
@@ -143,51 +125,117 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
         row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
         if any(row):
             rows.add(row + (0,))
-    reduced = _rref([[Fraction(x) for x in row] for row in rows])
+    reduced = _reduce(rows)
     if reduced is None:
         raise EmptyStateSpace("the additivity constraints are inconsistent")
     base_rows, pivots = reduced
     free = [col for col in range(m) if col not in pivots]
 
-    # A vertex has k = len(free) zero atoms.  Zeroing a pivot atom turns its
-    # row into an equation over the free atoms left nonzero; as many free
-    # atoms stay nonzero as pivot atoms are zeroed, so the system is square.
-    weights = set()
-    for zeros in combinations(range(m), len(free)):
-        rows_zeroed = [row for row, col in zip(base_rows, pivots) if col in zeros]
-        basic = [col for col in free if col not in zeros]
-        solved = _rref([[row[c] for c in basic] + [row[-1]] for row in rows_zeroed])
-        if solved is None or len(solved[1]) < len(basic):
-            continue
-        w = [Fraction(0)] * m
-        for row, j in zip(*solved):
-            w[basic[j]] = row[-1]
-        for row, col in zip(base_rows, pivots):
-            w[col] = row[-1] - sum(row[c] * w[c] for c in basic)
-        if all(x >= 0 for x in w):
-            weights.add(tuple(w))
-
-    if not weights:
-        raise EmptyStateSpace("the state polytope is empty")
-    verts = tuple(
-        sorted(
-            tuple(sum((c * x for c, x in zip(d, w) if c), Fraction(0)) for d in dec)
-            for w in weights
-        )
+    # Row p*w[pivot] + sum(row[f] * w[f]) = rhs makes w[pivot] >= 0 read
+    # rhs*t - sum(row[f] * x[f]) >= 0 on the cone over (x, t) = t * (w[free], 1).
+    # Every ray has t > 0: at t = 0 the rows force w = 0, as each element
+    # and its supplement add up to the unit.  So each ray is one vertex.
+    rays = _extreme_rays(
+        len(free) + 1, [[-row[f] for f in free] + [row[-1]] for row in base_rows]
     )
-    return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
+    if not rays:
+        raise EmptyStateSpace("the state polytope is empty")
+
+    # At the lcm L of the pivots, W = L * t * w is an integer on every atom.
+    scale = lcm(*(row[col] for row, col in zip(base_rows, pivots)))
+    verts = []
+    for ray in rays:
+        w = [0] * m
+        for f, x in zip(free, ray):
+            w[f] = scale * x
+        for row, col in zip(base_rows, pivots):
+            s = row[-1] * ray[-1] - sum(row[f] * x for f, x in zip(free, ray))
+            w[col] = scale // row[col] * s
+        unit = scale * ray[-1]
+        verts.append(
+            tuple(Fraction(sum(c * x for c, x in zip(d, w)), unit) for d in dec)
+        )
+    verts.sort()
+    # w -> dec . w is injective (each atom's dec is a unit vector), so the
+    # vertices span the same affine dimension as their rays, less one
+    rank = len(_reduce([ray + (0,) for ray in rays])[1])
+    return StatePolytope(vertices=tuple(verts), affine_dimension=rank - 1)
 
 
-def _affine_dim(vertices: tuple[tuple[Fraction, ...], ...]) -> int:
-    if len(vertices) <= 1:
-        return 0
-    base = vertices[0]
-    diffs = [
-        [x - y for x, y in zip(v, base)] + [Fraction(0)] for v in vertices[1:]
-    ]
-    reduced = _rref(diffs)
-    assert reduced is not None
-    return len(reduced[1])
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce(rows) -> tuple[list[list[int]], list[int]] | None:
+    """Fraction-free Gauss-Jordan on augmented integer rows; None if inconsistent.
+
+    Each row kept is primitive, has a positive pivot and is zero in the
+    other rows' pivot columns.
+    """
+    mat = [_primitive(list(row)) for row in rows]
+    ncols = len(mat[0]) - 1 if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        i = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if i is None:
+            continue
+        prow = mat[i] if mat[i][col] > 0 else [-x for x in mat[i]]
+        mat[i], mat[r] = mat[r], prow
+        p = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                mat[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
+        pivots.append(col)
+        r += 1
+    if any(row[-1] for row in mat[r:]):
+        return None
+    return mat[:r], pivots
+
+
+def _extreme_rays(d: int, constraints: list[list[int]]) -> list[tuple[int, ...]]:
+    """Primitive extreme rays of the cone {y >= 0 : a . y >= 0 for each a}.
+
+    The double description method: start from the d unit rays of the
+    orthant and add one constraint at a time.  Rays on its nonnegative side
+    stay; each pair of adjacent rays on opposite sides gives the new ray on
+    its boundary.  Two rays are adjacent when the constraints tight on both
+    number at least d - 2 and no other ray is tight on all of them.
+    """
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    # bit j < d of a tight set stands for y[j] >= 0, bit d + i for constraint i
+    tight = [((1 << d) - 1) ^ (1 << i) for i in range(d)]
+    for bit, a in enumerate(constraints, d):
+        vals = [sum(x * y for x, y in zip(a, ray)) for ray in rays]
+        kept = [i for i, v in enumerate(vals) if v >= 0]
+        new_rays = [rays[i] for i in kept]
+        new_tight = [tight[i] | (0 if vals[i] else 1 << bit) for i in kept]
+        pos = [i for i in kept if vals[i]]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        for i in pos:
+            for j in neg:
+                common = tight[i] & tight[j]
+                if common.bit_count() < d - 2 or not _adjacent(common, tight):
+                    continue
+                # a . ray = vals[i] * vals[j] - vals[j] * vals[i] = 0
+                ray = [vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j])]
+                new_rays.append(tuple(_primitive(ray)))
+                new_tight.append(common | 1 << bit)
+        rays, tight = new_rays, new_tight
+    return rays
+
+
+def _adjacent(common: int, tight: list[int]) -> bool:
+    """True unless a third ray is tight wherever both rays of the pair are."""
+    found = 0
+    for z in tight:
+        if z & common == common:
+            found += 1
+            if found > 2:
+                return False
+    return True
 
 
 def is_separating(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import qlogic
 from qlogic import catalog
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
-from qlogic.reports import REPORT_SCHEMA
+from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA
 
 
 @pytest.fixture
@@ -327,6 +327,27 @@ def test_bad_input_file_exits_2(tmp_path, command, kind):
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "error" in last_json(proc.stdout)["results"]
+
+
+def test_endless_input_exits_2():
+    proc = run_process("validate", "/dev/zero", "--format", "json")
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stdout + proc.stderr
+    doc = last_json(proc.stdout)
+    assert doc["input_digest"] is None
+    assert "larger than" in doc["results"]["error"]
+
+
+@pytest.mark.parametrize("extra, code", [(0, EXIT_OK), (1, EXIT_BAD_INPUT)])
+def test_input_byte_cap(tmp_path, extra, code):
+    # a valid document padded with trailing whitespace to the cap, or past it
+    text = catalog.boolean_powerset(2).to_json().encode()
+    path = tmp_path / "padded.json"
+    path.write_bytes(text.ljust(MAX_INPUT_BYTES + extra))
+    proc = run_process("validate", str(path), "--format", "json")
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert (last_json(proc.stdout)["input_digest"] is None) == bool(extra)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import pytest
 
 from qlogic import catalog
-from qlogic.algebra import NotAnOrthoalgebra, derive_order, is_boolean
+from qlogic.algebra import NotAnOrthoalgebra, derive_order, is_boolean, is_orthoalgebra
 from qlogic.cloning import (
     DEFAULT_NODE_BUDGET,
     DecompositionMismatch,
@@ -147,6 +147,21 @@ def test_witness_iff_boolean_small_catalog():
     for alg in suite:
         found = find_cloning_bimorphism(alg).status == "witness-found"
         assert found == is_boolean(alg)
+
+
+def test_witness_iff_boolean_on_fuzz_effect_algebras():
+    # every finite effect algebra is atomic and Archimedean, so the paper's
+    # theorem reads "witness iff Boolean" on each, orthoalgebra or not
+    witnesses = non_orthoalgebras = 0
+    for seed in (1, 7, 202):
+        for alg in random_algebras(seed=seed, count=500):
+            outcome = find_cloning_bimorphism(alg)
+            assert outcome.status != "aborted", alg.labels
+            found = outcome.status == "witness-found"
+            assert found == is_boolean(alg), alg.labels
+            witnesses += found
+            non_orthoalgebras += not is_orthoalgebra(alg)[0]
+    assert witnesses > 0 and non_orthoalgebras > 0
 
 
 def test_search_deterministic():

@@ -5,14 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from qlogic import catalog
+from qlogic import catalog, states
 from qlogic.algebra import derive_order
 from qlogic.fuzz import random_algebras
 from qlogic.states import (
     EmptyStateSpace,
     StatePolytope,
-    _affine_dim,
-    _rref,
     atom_decompositions,
     check_state,
     enumerate_vertex_states,
@@ -21,6 +19,93 @@ from qlogic.states import (
     state_constraints,
 )
 from test_algebra import catalog_suite
+
+
+def _rref(rows):
+    """Reduced row echelon form of an augmented matrix; None if inconsistent."""
+    mat = [row[:] for row in rows]
+    ncols = len(mat[0]) - 1 if mat else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, len(mat)):
+        if mat[i][-1] != 0:
+            return None
+    return mat[:r], pivots
+
+
+def _affine_dim(vertices):
+    if len(vertices) <= 1:
+        return 0
+    base = vertices[0]
+    diffs = [
+        [x - y for x, y in zip(v, base)] + [Fraction(0)] for v in vertices[1:]
+    ]
+    reduced = _rref(diffs)
+    assert reduced is not None
+    return len(reduced[1])
+
+
+def combinatorial_vertex_states(alg):
+    """Oracle: the state polytope's vertices from every choice of zero atoms.
+
+    Reduces the atom-coordinate equality system once over Fractions; each
+    choice of k = #atoms - rank zero atoms leaves a square system in the
+    free atoms still nonzero, solved with one RREF and mapped back to all
+    elements.  It costs C(#atoms, k) eliminations.
+    """
+    dec = atom_decompositions(alg)
+    m = len(dec[alg.zero])
+    rows = {dec[alg.unit] + (1,)}
+    for a, b, c in derive_order(alg).sums:
+        row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
+        if any(row):
+            rows.add(row + (0,))
+    reduced = _rref([[Fraction(x) for x in row] for row in rows])
+    if reduced is None:
+        raise EmptyStateSpace("the additivity constraints are inconsistent")
+    base_rows, pivots = reduced
+    free = [col for col in range(m) if col not in pivots]
+
+    # A vertex has k = len(free) zero atoms.  Zeroing a pivot atom turns its
+    # row into an equation over the free atoms left nonzero; as many free
+    # atoms stay nonzero as pivot atoms are zeroed, so the system is square.
+    weights = set()
+    for zeros in combinations(range(m), len(free)):
+        rows_zeroed = [row for row, col in zip(base_rows, pivots) if col in zeros]
+        basic = [col for col in free if col not in zeros]
+        solved = _rref([[row[c] for c in basic] + [row[-1]] for row in rows_zeroed])
+        if solved is None or len(solved[1]) < len(basic):
+            continue
+        w = [Fraction(0)] * m
+        for row, j in zip(*solved):
+            w[basic[j]] = row[-1]
+        for row, col in zip(base_rows, pivots):
+            w[col] = row[-1] - sum(row[c] * w[c] for c in basic)
+        if all(x >= 0 for x in w):
+            weights.add(tuple(w))
+
+    if not weights:
+        raise EmptyStateSpace("the state polytope is empty")
+    verts = tuple(
+        sorted(
+            tuple(sum((c * x for c, x in zip(d, w) if c), Fraction(0)) for d in dec)
+            for w in weights
+        )
+    )
+    return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
 
 
 def full_coordinate_vertex_states(alg):
@@ -77,6 +162,48 @@ def test_atom_coordinates_match_full_coordinate_oracle():
         assert _polytope_or_message(enumerate_vertex_states, alg) == (
             _polytope_or_message(full_coordinate_vertex_states, alg)
         ), alg.labels
+
+
+def test_double_description_matches_combinatorial_oracle():
+    suite = [alg for alg in catalog_suite() if alg.size <= 32]
+    for seed in (1, 7, 202):
+        suite += random_algebras(seed=seed, count=300)
+    for alg in suite:
+        assert _polytope_or_message(enumerate_vertex_states, alg) == (
+            _polytope_or_message(combinatorial_vertex_states, alg)
+        ), alg.labels
+
+
+def test_extreme_rays_by_double_description():
+    # y0 + y1 <= 0 leaves the orthant's apex alone, so no ray and no state
+    assert states._extreme_rays(2, [[-1, -1]]) == []
+    # x <= t and y <= t cut the cone over the unit square
+    rays = states._extreme_rays(3, [[-1, 0, 1], [0, -1, 1]])
+    assert sorted(rays) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    # 2x <= t and 3y <= t: the rays are primitive integer vectors
+    rays = states._extreme_rays(3, [[-2, 0, 1], [0, -3, 1]])
+    assert sorted(rays) == [(0, 0, 1), (0, 1, 3), (1, 0, 2), (3, 2, 6)]
+
+
+@pytest.mark.parametrize(
+    "summands, vertices, dimension",
+    [
+        # bp(3)'s states form a triangle: 3 x 3 vertices, 2 + 2 dimensions
+        (lambda: [catalog.boolean_powerset(3)] * 2, 9, 4),
+        # mo(4)'s form a 4-cube (16 vertices), the Wright triangle's a
+        # 3-polytope with 5 vertices; the sum has 34 elements
+        (lambda: [catalog.mo(4)] + [catalog.wright_triangle()] * 2, 16 * 5 * 5, 10),
+    ],
+)
+def test_horizontal_sum_state_space_is_the_product(
+    monkeypatch, summands, vertices, dimension
+):
+    # a state of a horizontal sum is one state of each summand, so the
+    # vertex counts multiply and the affine dimensions add
+    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
+    poly = enumerate_vertex_states(catalog.horizontal_sum(*summands()))
+    assert len(poly.vertices) == vertices
+    assert poly.affine_dimension == dimension
 
 
 def test_every_element_has_an_atom_decomposition():
