@@ -1,7 +1,7 @@
 """Deterministic constructors for the canonical test algebras.
 
 Labels are human-meaningful and fixed per constructor so serialized output
-is stable across runs.
+is stable across runs; MO_n and the Wright triangle are Greechie pastings.
 """
 
 from __future__ import annotations
@@ -61,34 +61,43 @@ def chain(d: int) -> FiniteEffectAlgebra:
 
 
 def mo(n: int) -> FiniteEffectAlgebra:
-    """The horizontal-sum orthoalgebra MO_n: n supplement pairs glued at 0, 1."""
+    """The horizontal-sum orthoalgebra MO_n: n two-atom blocks {ai, ai'}."""
     if not 1 <= n <= 6:
         raise BoundExceeded(f"mo supports 1 <= n <= 6, got {n}")
-    labels = ["0", "1"]
-    for i in range(1, n + 1):
-        labels += [f"a{i}", f"a{i}'"]
-    sums = [["0", lbl, lbl] for lbl in labels]
-    sums += [[f"a{i}", f"a{i}'", "1"] for i in range(1, n + 1)]
-    return validate(labels, "0", "1", sums)
+    return pasting([(f"a{i}", f"a{i}'") for i in range(1, n + 1)])
 
 
 def wright_triangle() -> FiniteEffectAlgebra:
-    """Three 3-atom blocks pasted in a loop; orthoalgebra violating coherence.
+    """Not coherent: a, c, e are mutually orthogonal but (a + c) + e is undefined."""
+    return pasting([("a", "b", "c"), ("c", "d", "e"), ("e", "f", "a")])
 
-    Blocks {a,b,c}, {c,d,e}, {e,f,a}: a, c, e are mutually orthogonal but
-    (a + c) + e is undefined.
+
+def pasting(blocks) -> FiniteEffectAlgebra:
+    """Greechie pasting of Boolean blocks given as tuples of atom names.
+
+    Blocks share at most one atom a, and with it a'.  Labels: "0", "1", the
+    atoms, a' for each atom of a block of 3 or more, then the other block
+    elements as "a+b".  validate decides whether it is an orthoalgebra.
     """
-    atom_names = ["a", "b", "c", "d", "e", "f"]
-    labels = ["0", "1"] + atom_names + [x + "'" for x in atom_names]
-    blocks = [("a", "b", "c"), ("c", "d", "e"), ("e", "f", "a")]
-    sums = [["0", lbl, lbl] for lbl in labels]
+    labels = ["0", "1"] + [x for b in blocks for x in b]
+    labels += [x + "'" for b in blocks if len(b) > 2 for x in b]
+    sums = []
     for block in blocks:
-        for i in range(3):
-            x, y, z = block[i], block[(i + 1) % 3], block[(i + 2) % 3]
-            sums.append([x, y, z + "'"])
-            sums.append([x, x + "'", "1"])
-            sums.append([x + "'", x, "1"])
-    return validate(labels, "0", "1", sums)
+        if len(set(block)) < len(block):
+            raise BoundExceeded(f"block {block!r} repeats an atom")
+        if 1 << len(block) > MAX_CARRIER:
+            raise BoundExceeded(f"a {len(block)}-atom block exceeds cap {MAX_CARRIER}")
+        lbl = [""]  # the block's elements, indexed by the bitmask of their atoms
+        for x in block:
+            lbl += [f"{s}+{x}" if s else x for s in lbl]
+        lbl[0], lbl[-1] = "0", "1"
+        if len(block) > 2:  # in a two-atom block, a' is the other atom
+            for i, x in enumerate(block):
+                lbl[-1 - (1 << i)] = x + "'"  # every atom but x
+        labels += lbl
+        ms = range(len(lbl))
+        sums += [[lbl[a], lbl[b], lbl[a | b]] for a in ms for b in ms[a:] if not a & b]
+    return validate(dict.fromkeys(labels), "0", "1", sums)
 
 
 def horizontal_sum(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:

@@ -1,15 +1,65 @@
 """Catalog constructors: shapes, bounds, determinism, and spec strings."""
 
+import hashlib
+
 import pytest
 
 from qlogic import catalog
 from qlogic.algebra import (
+    CommutativityViolation,
+    SupplementNotUnique,
     atoms,
     check_coherence,
     find_isomorphism,
     is_boolean,
     is_orthoalgebra,
 )
+
+
+def grid(r, c):
+    """Greechie pasting of r row blocks and c column blocks over atoms x_ij.
+
+    Its states are the weights with every row and every column summing to 1:
+    the r x r doubly stochastic matrices when r == c, and none otherwise.
+    """
+    rows = [tuple(f"x{i}{j}" for j in range(c)) for i in range(r)]
+    columns = [tuple(f"x{i}{j}" for i in range(r)) for j in range(c)]
+    return catalog.pasting(rows + columns)
+
+
+def complete_quadrilateral():
+    """Four 3-atom blocks on six atoms, each atom in two of them (n = 14)."""
+    return catalog.pasting(
+        [("p", "q", "r"), ("p", "s", "t"), ("q", "s", "u"), ("r", "t", "u")]
+    )
+
+
+def stateless_pasting():
+    """A coherent 58-element pasting whose atom weights are forced negative.
+
+    The five 3-atom blocks c_j* partition 15 atoms, so a state's weights on
+    them sum to 5.  The four 4-atom blocks partition the same 15 atoms and z,
+    so those weights sum to 4, which forces w(z) = -1.
+    """
+    rows = [tuple(f"c{j}{i}" for i in range(3)) for j in range(5)]
+    columns = [
+        ("c10", "c20", "c30", "c40"),
+        ("c00", "c21", "c31", "c41"),
+        ("c01", "c11", "c32", "c42"),
+        ("c02", "c12", "c22", "z"),
+    ]
+    return catalog.pasting(rows + columns)
+
+
+def random_pasting_blocks(rng):
+    """Up to 5 blocks of 2-4 atoms from a pool of 3-9, pairwise sharing <= 1."""
+    pool = [f"x{i}" for i in range(rng.randint(3, 9))]
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        block = tuple(rng.sample(pool, rng.randint(2, min(4, len(pool)))))
+        if all(len(set(block) & set(other)) <= 1 for other in blocks):
+            blocks.append(block)
+    return blocks
 
 
 def test_powerset_shapes():
@@ -120,3 +170,70 @@ def test_build_spec_rejects_garbage():
     for bad in ("nope(2)", "chain(2) extra", "chain(99)"):
         with pytest.raises(catalog.BoundExceeded):
             catalog.build_spec(bad)
+
+
+# SHA-256 of to_json(), captured before mo and wright_triangle became pastings
+PINNED_DIGESTS = {
+    "mo(1)": "9eb0a0a7289c821120e0069fec869cc57f69257c59016c23123b229cc8a49c83",
+    "mo(2)": "1a2743b15601fd7bb4fc3ad162193188aef270202fd7c72429011d4e18d080e1",
+    "mo(3)": "7b3d61ed79e79e64c02548042cb50610372441c42aee3efaba5d323408314e63",
+    "mo(4)": "7ae74e7044cc0cf16addec1992c18559f215cc84ab9636ec9affec7c9f7ccd14",
+    "mo(5)": "80738a0f425816fe25f33a50111e27e3d636598085789d09ba4bf6d05030f35d",
+    "mo(6)": "0a004e5a00f95e43e22f4206507800e742af20ec50aba8e817242348655b54ff",
+    "wright_triangle()": "ac92b003d4416ab49469546688a1161205bb758a33f3d71faaa12437eb233192",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_DIGESTS))
+def test_catalog_json_pinned(spec):
+    text = catalog.build_spec(spec).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[spec]
+
+
+def test_pasting_label_order():
+    alg = catalog.pasting([("a", "b", "c", "d"), ("d", "e", "f")])
+    assert alg.labels == (
+        ("0", "1", "a", "b", "c", "d", "e", "f")
+        + ("a'", "b'", "c'", "d'", "e'", "f'")
+        + ("a+b", "a+c", "b+c", "a+d", "b+d", "c+d")
+    )
+    # the shared atom's complement is one element, reached in both blocks
+    d_prime = alg.index("d'")
+    assert alg.table[alg.index("a")][alg.index("b+c")] == d_prime
+    assert alg.table[alg.index("e")][alg.index("f")] == d_prime
+    assert alg.table[alg.index("a+b")][alg.index("c+d")] == alg.unit
+    assert is_orthoalgebra(alg)[0] and not is_boolean(alg)
+
+
+def test_pasting_of_one_block_is_boolean():
+    alg = catalog.pasting([("a", "b", "c")])
+    assert find_isomorphism(alg, catalog.boolean_powerset(3)) is not None
+
+
+def test_pasting_rejects_what_is_not_an_orthoalgebra():
+    # a + b is c' in one block and d' in the other
+    with pytest.raises(CommutativityViolation):
+        catalog.pasting([("a", "b", "c"), ("a", "b", "d")])
+    # a's supplement is x in one block and b + c in the other
+    with pytest.raises(SupplementNotUnique):
+        catalog.pasting([("a", "x"), ("a", "b", "c")])
+
+
+def test_pasting_block_cap():
+    with pytest.raises(catalog.BoundExceeded, match="7-atom block"):
+        catalog.pasting([tuple("abcdefg")])
+    # ("a", "a") would otherwise be the chain 0 < a < 1 with a + a = 1
+    with pytest.raises(catalog.BoundExceeded, match="repeats an atom"):
+        catalog.pasting([("a", "b"), ("a", "a")])
+
+
+def test_pasting_fixtures():
+    for alg, size, coherent in (
+        (grid(3, 3), 20, True),
+        (complete_quadrilateral(), 14, False),
+        (grid(3, 4), 44, True),
+        (stateless_pasting(), 58, True),
+    ):
+        assert alg.size == size
+        assert is_orthoalgebra(alg)[0] and not is_boolean(alg)
+        assert check_coherence(alg)[0] == coherent

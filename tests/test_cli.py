@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import catalog
+from qlogic import catalog, states
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA
+from test_catalog import complete_quadrilateral, grid
 
 
 @pytest.fixture
@@ -129,6 +130,59 @@ def test_states(capsys, bp2_file):
     assert results["vertex_count"] == 2
     assert results["separating"] is True
     assert results["merged_pairs"] == []
+
+
+@pytest.fixture
+def quadrilateral_file(tmp_path):
+    # 3 vertex states that do not separate its 14 elements
+    path = tmp_path / "quadrilateral.json"
+    path.write_text(complete_quadrilateral().to_json())
+    return str(path)
+
+
+@pytest.fixture
+def stateless_file(tmp_path, monkeypatch):
+    # 44 elements and no states; the cap is raised so that they are enumerated
+    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
+    path = tmp_path / "grid34.json"
+    path.write_text(grid(3, 4).to_json())
+    return str(path)
+
+
+def test_clone_search_without_separating_states(capsys, quadrilateral_file):
+    code, out = run(capsys, "clone-search", quadrilateral_file, "--format", "json")
+    assert code == EXIT_FAIL
+    results = last_json(out)["results"]
+    assert results["status"] == "no-witness"
+    assert results["state_space_separating"] is False
+    assert "not separating" in results["interpretation"]
+
+
+def test_states_not_separating(capsys, quadrilateral_file):
+    code, out = run(capsys, "states", quadrilateral_file, "--format", "json")
+    assert code == EXIT_OK
+    results = last_json(out)["results"]
+    assert results["vertex_count"] == 3
+    assert results["separating"] is False
+    assert results["merged_pairs"]
+
+
+def test_states_empty_state_space(capsys, stateless_file):
+    code, out = run(capsys, "states", stateless_file, "--format", "json")
+    assert code == EXIT_FAIL
+    results = last_json(out)["results"]
+    assert results == {
+        "empty_state_space": True,
+        "detail": "the additivity constraints are inconsistent",
+    }
+
+
+def test_clone_search_without_states(capsys, stateless_file):
+    code, out = run(capsys, "clone-search", stateless_file, "--format", "json")
+    assert code == EXIT_FAIL
+    results = last_json(out)["results"]
+    assert results["state_space_separating"] is False
+    assert "interpretation" in results
 
 
 def test_hidden(capsys, bp2_file):

@@ -1,9 +1,18 @@
 """Cloning bimorphism search, witness verification, and the witness lemmas."""
 
+import random
+
 import pytest
 
 from qlogic import catalog
-from qlogic.algebra import NotAnOrthoalgebra, derive_order, is_boolean, is_orthoalgebra
+from qlogic.algebra import (
+    NotAnOrthoalgebra,
+    ValidationError,
+    check_coherence,
+    derive_order,
+    is_boolean,
+    is_orthoalgebra,
+)
 from qlogic.cloning import (
     DEFAULT_NODE_BUDGET,
     DecompositionMismatch,
@@ -15,7 +24,10 @@ from qlogic.cloning import (
     verify_witness,
 )
 from qlogic.fuzz import random_algebras
+from qlogic.states import MAX_STATE_CARRIER, check_state, enumerate_vertex_states
 from test_algebra import catalog_suite
+from test_catalog import random_pasting_blocks
+from test_states import _polytope_or_message, combinatorial_vertex_states
 
 
 def test_bp2_witness_found_and_equals_meet():
@@ -162,6 +174,35 @@ def test_witness_iff_boolean_on_fuzz_effect_algebras():
             witnesses += found
             non_orthoalgebras += not is_orthoalgebra(alg)[0]
     assert witnesses > 0 and non_orthoalgebras > 0
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_witness_iff_boolean_on_random_pastings(seed):
+    # Greechie pastings bring in orthoalgebras that are not lattices, and
+    # some that are not orthomodular posets; draws validate rejects are skipped
+    rng = random.Random(seed)
+    valid = not_lattices = not_orthomodular = 0
+    for _ in range(500):
+        try:
+            alg = catalog.pasting(random_pasting_blocks(rng))
+        except ValidationError:
+            continue
+        valid += 1
+        assert is_orthoalgebra(alg)[0], alg.labels
+        not_lattices += any(None in row for row in derive_order(alg).meet)
+        not_orthomodular += not check_coherence(alg)[0]
+        outcome = find_cloning_bimorphism(alg)
+        assert outcome.status != "aborted", alg.labels
+        assert (outcome.status == "witness-found") == is_boolean(alg), alg.labels
+        for w in outcome.witnesses:
+            assert verify_witness(alg, w.table) == (True, None)
+            assert check_witness_lemmas(alg, w).passed, alg.labels
+        if alg.size <= MAX_STATE_CARRIER:
+            poly = _polytope_or_message(enumerate_vertex_states, alg)
+            assert poly == _polytope_or_message(combinatorial_vertex_states, alg)
+            for v in getattr(poly, "vertices", ()):  # none if there are no states
+                assert check_state(alg, v) == [], alg.labels
+    assert valid >= 250 and not_lattices > 0 and not_orthomodular > 0
 
 
 def test_search_deterministic():

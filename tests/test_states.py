@@ -19,6 +19,7 @@ from qlogic.states import (
     state_constraints,
 )
 from test_algebra import catalog_suite
+from test_catalog import complete_quadrilateral, grid, stateless_pasting
 
 
 def _rref(rows):
@@ -204,6 +205,47 @@ def test_horizontal_sum_state_space_is_the_product(
     poly = enumerate_vertex_states(catalog.horizontal_sum(*summands()))
     assert len(poly.vertices) == vertices
     assert poly.affine_dimension == dimension
+
+
+def test_grid_states_are_the_birkhoff_polytope():
+    # grid(3,3)'s states are the 3 x 3 doubly stochastic matrices, whose
+    # vertices are the 3! permutation matrices (Birkhoff-von Neumann) and
+    # whose affine dimension is (3 - 1)^2
+    alg = grid(3, 3)
+    poly = enumerate_vertex_states(alg)
+    assert len(poly.vertices) == 6
+    assert poly.affine_dimension == 4
+    assert poly == combinatorial_vertex_states(alg)
+    cells = [[alg.index(f"x{i}{j}") for j in range(3)] for i in range(3)]
+    for v in poly.vertices:
+        assert sorted(tuple(v[p] for p in row).index(1) for row in cells) == [0, 1, 2]
+        assert sorted(v[p] for row in cells for p in row) == [0] * 6 + [1] * 3
+
+
+def test_complete_quadrilateral_states_do_not_separate():
+    alg = complete_quadrilateral()
+    poly = enumerate_vertex_states(alg)
+    assert len(poly.vertices) == 3
+    assert poly == combinatorial_vertex_states(alg)
+    separating, merged = is_separating(alg, poly)
+    assert not separating and merged
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # the 4-atom rows force the 12 atom weights to sum to 3, the 3-atom
+        # columns to 4
+        (lambda: grid(3, 4), "the additivity constraints are inconsistent"),
+        # consistent, but only with w(z) = -1
+        (stateless_pasting, "the state polytope is empty"),
+    ],
+    ids=["grid_3x4", "forced_negative"],
+)
+def test_stateless_pastings(monkeypatch, build, message):
+    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
+    with pytest.raises(EmptyStateSpace, match=message):
+        enumerate_vertex_states(build())
 
 
 def test_every_element_has_an_atom_decomposition():
