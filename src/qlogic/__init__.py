@@ -51,5 +51,4 @@ from .states import (  # noqa: F401
     StatePolytope,
     enumerate_vertex_states,
     is_separating,
-    state_constraints,
 )

@@ -140,11 +140,10 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         if not decomps:
             return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
+    # a witness exists only on Boolean algebras, whose states are never empty
+    poly = states.enumerate_vertex_states(alg)
     try:
-        poly = states.enumerate_vertex_states(alg)
         model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
-    except states.EmptyStateSpace:
-        return _unmet("the algebra has no states")
     except mv.ConstructionFailed as exc:
         return _unmet(str(exc))
     verification = mv.verify_hidden_variable(model, poly, seed=args.seed)

@@ -77,36 +77,28 @@ class MVReport:
     violations: tuple[str, ...]
     seed: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "triples_checked": self.triples_checked,
-            "violations": list(self.violations),
-            "seed": self.seed,
-        }
-
 
 def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED) -> MVReport:
-    """Verify the eight MV identities, exhaustively or on sampled triples."""
+    """Verify the eight MV identities, exhaustively or on sampled triples.
+
+    Each instance is checked once; sampled mode takes its elements and
+    pairs from the first components of the sampled triples.
+    """
     plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
     if carrier.elements is not None:
-        mode, seed = "exhaustive", None
-        triples = iproduct(carrier.elements, repeat=3)
+        mode, seed, elems = "exhaustive", None, carrier.elements
+        pairs = iproduct(elems, repeat=2)
+        triples, count = iproduct(elems, repeat=3), len(elems) ** 3
     else:
-        mode, rng = "sampled", random.Random(seed)
-        triples = (
+        mode, rng, count = "sampled", random.Random(seed), sample_budget
+        triples = dict.fromkeys(
             (carrier.sample(rng), carrier.sample(rng), carrier.sample(rng))
             for _ in range(sample_budget)
         )
+        pairs = dict.fromkeys(t[:2] for t in triples)
+        elems = dict.fromkeys(t[0] for t in triples)
     violations = [] if neg(zero) == one else ["0' != 1"]
-    count = 0
-    for a, b, c in triples:
-        count += 1
-        if plus(a, b) != plus(b, a):
-            violations.append(f"commutativity fails on ({a}, {b})")
-        if plus(plus(a, b), c) != plus(a, plus(b, c)):
-            violations.append(f"associativity fails on ({a}, {b}, {c})")
+    for a in elems:
         if plus(a, neg(a)) != one:
             violations.append(f"a + a' != 1 at {a}")
         if plus(a, zero) != a:
@@ -115,10 +107,14 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
             violations.append(f"a'' != a at {a}")
         if plus(a, one) != one:
             violations.append(f"a + 1 != 1 at {a}")
-        lhs = plus(neg(plus(neg(a), b)), b)
-        rhs = plus(neg(plus(a, neg(b))), a)
-        if lhs != rhs:
+    for a, b in pairs:
+        if plus(a, b) != plus(b, a):
+            violations.append(f"commutativity fails on ({a}, {b})")
+        if plus(neg(plus(neg(a), b)), b) != plus(neg(plus(a, neg(b))), a):
             violations.append(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
+    for a, b, c in triples:
+        if plus(plus(a, b), c) != plus(a, plus(b, c)):
+            violations.append(f"associativity fails on ({a}, {b}, {c})")
     return MVReport(
         passed=not violations,
         mode=mode,
@@ -353,11 +349,6 @@ def _lift_index(model: HiddenVariableModel) -> list[ElementId]:
     return out
 
 
-def lift_state(model: HiddenVariableModel, omega) -> dict:
-    """The lifted state on the MV carrier: value at (x_n) is omega(sum of x_n)."""
-    return {m: omega[x] for m, x in zip(model.mv.elements, _lift_index(model))}
-
-
 def check_lifted_state(
     model: HiddenVariableModel, omega, omega_bar, scale=1
 ) -> list[str]:
@@ -389,14 +380,8 @@ class HiddenVariableReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "states_checked": self.states_checked,
-            "mixtures_checked": self.mixtures_checked,
-            "order_reflection": self.order_reflection,
-            "violations": list(self.violations),
-            "seed": self.seed,
-        }
+        # the report's keys are the fields, in their order
+        return {**vars(self), "violations": list(self.violations)}
 
 
 def verify_hidden_variable(
@@ -407,40 +392,46 @@ def verify_hidden_variable(
 ) -> HiddenVariableReport:
     """Check the lift conditions on every vertex state plus random mixtures.
 
-    The arithmetic is on integers: with L the common denominator of the
-    vertices, vertex V is the int vector L*V at scale L, and the mixture with
-    weights w is sum(w_i * L*V_i) at scale L*sum(w).  Every condition is
-    homogeneous, so it is checked on the scaled vector, "value 1 at the unit"
-    becoming "value scale at the unit".
+    The state with integer weights w (a unit vector for a vertex) is the int
+    vector sum(w_i * L*V_i) at scale L*sum(w), L the vertices' common
+    denominator.  With no negative entry, one check covers all states:
+    state j is bits [j*width, (j+1)*width) of one int per element, and any
+    value or sum of two fits its lane.  A failure is rechecked per state.
     """
     common = lcm(*(x.denominator for v in polytope.vertices for x in v))
     vertices = [
         [x.numerator * (common // x.denominator) for x in v]
         for v in polytope.vertices
     ]
-    states = [(v, common) for v in vertices]
+    k = len(vertices)
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
     rng = random.Random(seed)
-    n_mix = 0
     if vertices:
-        columns = list(zip(*vertices))
-        for _ in range(mixtures):
-            weights = [rng.randint(1, 12) for _ in vertices]
-            mixed = [sum(map(mul, weights, column)) for column in columns]
-            states.append((mixed, common * sum(weights)))
-            n_mix += 1
+        rows += [[rng.randint(1, 12) for _ in vertices] for _ in range(mixtures)]
     violations: list[str] = []
-    if states:
+    if rows:
         lift = _lift_index(model)
-        for omega, scale in states:
-            omega_bar = dict(zip(model.mv.elements, [omega[x] for x in lift]))
-            violations.extend(check_lifted_state(model, omega, omega_bar, scale))
+        columns = list(zip(*vertices))
+        batches = [rows]
+        if min(map(min, vertices)) >= 0:
+            width = (24 * k * max(common, *map(max, vertices))).bit_length()
+            packed = [sum(x << j * width for j, x in enumerate(c)) for c in zip(*rows)]
+            batches.insert(0, [packed])
+        for batch in batches:
+            violations = []
+            for w in batch:
+                omega = [sum(map(mul, w, column)) for column in columns]
+                omega_bar = dict(zip(model.mv.elements, [omega[x] for x in lift]))
+                violations += check_lifted_state(model, omega, omega_bar, common * sum(w))
+            if not violations:
+                break
     reflection = order_reflection_holds(model)
     if not reflection:
         violations.append("order reflection of h fails")
     return HiddenVariableReport(
         passed=not violations,
-        states_checked=len(polytope.vertices),
-        mixtures_checked=n_mix,
+        states_checked=k,
+        mixtures_checked=len(rows) - k,
         order_reflection=reflection,
         violations=tuple(violations),
         seed=seed,

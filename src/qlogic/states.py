@@ -58,32 +58,6 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def state_constraints(
-    alg: FiniteEffectAlgebra,
-) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Equality rows (coefficients, rhs): v_unit = 1 and v_a + v_b = v_c.
-
-    v_zero = 0 is not postulated; it falls out of the 0 + 0 = 0 row.
-    """
-    n = alg.size
-    rows = []
-    unit_row = [Fraction(0)] * n
-    unit_row[alg.unit] = Fraction(1)
-    rows.append((tuple(unit_row), Fraction(1)))
-    for a in alg.elements():
-        for b in range(a, n):
-            c = alg.table[a][b]
-            if c is None:
-                continue
-            row = [Fraction(0)] * n
-            row[a] += 1
-            row[b] += 1
-            row[c] -= 1
-            if any(row):
-                rows.append((tuple(row), Fraction(0)))
-    return rows
-
-
 def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
     """``dec[x]``: atom multiplicities of one decomposition of x into atoms.
 

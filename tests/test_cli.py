@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +20,7 @@ import qlogic
 from qlogic import catalog, states
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA
-from test_catalog import complete_quadrilateral, grid
+from test_catalog import complete_quadrilateral, grid, stateless_pasting
 
 
 @pytest.fixture
@@ -243,6 +244,33 @@ def test_hidden_hypothesis_unmet(capsys, mo2_file):
     results = last_json(out)["results"]
     assert results["hypothesis_met"] is False
     assert "witness" in results["reason"]
+
+
+@pytest.mark.parametrize(
+    "build, boolean",
+    # the Boolean carriers of the bench's state workload, then two
+    # pastings with no states at all, which have no witness either
+    [(partial(catalog.boolean_powerset, k), True) for k in (2, 3, 4)]
+    + [(partial(grid, 3, 4), False), (stateless_pasting, False)],
+    ids=["bp2", "bp3", "bp4", "grid34", "stateless58"],
+)
+def test_hidden_hypothesis_met_exactly_on_boolean_carriers(
+    capsys, tmp_path, build, boolean
+):
+    path = tmp_path / "alg.json"
+    path.write_text(build().to_json())
+    code, out = run(capsys, "hidden", str(path), "--format", "json")
+    results = last_json(out)["results"]
+    if boolean:
+        assert code == EXIT_OK
+        assert results["hypothesis_met"] is True
+        assert results["verification"]["passed"] is True
+    else:
+        assert code == EXIT_FAIL
+        assert results == {
+            "hypothesis_met": False,
+            "reason": "no cloning witness exists",
+        }
 
 
 def test_catalog_stdout_round_trip(capsys):

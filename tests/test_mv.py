@@ -15,6 +15,7 @@ from qlogic.mv import (
     ConstructionFailed,
     FiniteMV,
     HiddenVariableReport,
+    SampledMV,
     check_lifted_state,
     check_mv_axioms,
     effect_algebra_of_mv,
@@ -22,7 +23,6 @@ from qlogic.mv import (
     hidden_variable_construct,
     interval_mv,
     is_chain_ideal,
-    lift_state,
     order_reflection_holds,
     product_mv,
     verify_hidden_variable,
@@ -151,6 +151,18 @@ def test_hidden_variable_construct_on_powersets(k):
     model = hidden_variable_construct(alg, witness, atomic_decomposition(alg))
     assert len(model.mv.elements) == alg.size
     assert order_reflection_holds(model)
+
+
+def lift_state(model, omega):
+    """The lifted state on the MV carrier: value at (x_n) is omega(sum of x_n)."""
+    alg = model.algebra
+    lifted = {}
+    for m in model.mv.elements:
+        total = alg.zero
+        for x in m:
+            total = alg.table[total][x]
+        lifted[m] = omega[total]
+    return lifted
 
 
 def test_hidden_variable_lift_matches_source():
@@ -337,3 +349,112 @@ def test_verification_without_vertices():
     rep = verify_hidden_variable(model, empty)
     assert rep == fraction_verify_hidden_variable(model, empty)
     assert (rep.states_checked, rep.mixtures_checked, rep.violations) == (0, 0, ())
+
+
+def test_verification_without_mixtures_matches_oracle(oracle_models):
+    # the vertex lanes alone, on the plain and the perturbed polytopes
+    for i, (model, poly) in enumerate(oracle_models):
+        for case in ((model, poly), perturbed(model, poly, i)):
+            rep = verify_hidden_variable(*case, mixtures=0)
+            assert rep == fraction_verify_hidden_variable(*case, mixtures=0)
+            assert rep.mixtures_checked == 0
+
+
+def boolean_models():
+    return hidden_variable_models(catalog.boolean_powerset(k) for k in (2, 3, 4))
+
+
+def moved_vertices(poly, moves):
+    """The polytope with moves[i] added to vertex i (a vector or None)."""
+    vertices = tuple(
+        v if d is None else tuple(x + y for x, y in zip(v, d))
+        for v, d in zip(poly.vertices, moves + [None] * len(poly.vertices))
+    )
+    return StatePolytope(vertices, poly.affine_dimension)
+
+
+def test_verification_at_a_large_common_denominator():
+    # every vertex moved 10**-12 of the way to the next is still a state
+    den = 10**12
+    for model, poly in boolean_models():
+        vs = poly.vertices
+        moves = [
+            [(y - x) / den for x, y in zip(v, vs[(i + 1) % len(vs)])]
+            for i, v in enumerate(vs)
+        ]
+        rescaled = moved_vertices(poly, moves)
+        rep = verify_hidden_variable(model, rescaled)
+        assert rep.passed
+        assert rep == fraction_verify_hidden_variable(model, rescaled)
+
+
+def test_lane_width_keeps_errors_from_cancelling():
+    # vertex 0 is off by 2**t/den at the unit and vertex 1 by -1/den: in lanes
+    # t bits wide the two errors would cancel, so the check must still fail
+    model, poly = boolean_models()[0]
+    den, unit = 10**12, model.algebra.unit
+    for t in range(80):
+        moves = [[Fraction(0)] * model.algebra.size for _ in range(2)]
+        moves[0][unit], moves[1][unit] = Fraction(2**t, den), Fraction(-1, den)
+        bad = moved_vertices(poly, moves)
+        rep = verify_hidden_variable(model, bad, mixtures=0)
+        assert not rep.passed
+        assert rep == fraction_verify_hidden_variable(model, bad, mixtures=0)
+
+
+@pytest.mark.parametrize("mixtures", (0, 100))
+def test_negative_vertex_entry_checked_state_by_state(mixtures):
+    # 2*V0 - V1 is additive with value 1 at the unit, but negative where
+    # V1 exceeds 2*V0
+    for model, poly in boolean_models():
+        v0, v1 = poly.vertices[:2]
+        signed = moved_vertices(poly, [[x - y for x, y in zip(v0, v1)]])
+        rep = verify_hidden_variable(model, signed, mixtures=mixtures)
+        assert rep == fraction_verify_hidden_variable(model, signed, mixtures=mixtures)
+        assert any("negative value" in v for v in rep.violations)
+
+
+def expected_mv_failures(mv):
+    """Every failing instance of the eight identities, found independently."""
+    plus, neg, zero, one, elems = mv.plus, mv.neg, mv.zero, mv.one, mv.elements
+    found = set() if neg(zero) == one else {"0' != 1"}
+    for a in elems:
+        for name, lhs, rhs in (
+            ("a + a' != 1", plus(a, neg(a)), one),
+            ("a + 0 != a", plus(a, zero), a),
+            ("a'' != a", neg(neg(a)), a),
+            ("a + 1 != 1", plus(a, one), one),
+        ):
+            if lhs != rhs:
+                found.add(f"{name} at {a}")
+        for b in elems:
+            if plus(a, b) != plus(b, a):
+                found.add(f"commutativity fails on ({a}, {b})")
+            if plus(neg(plus(neg(a), b)), b) != plus(neg(plus(a, neg(b))), a):
+                found.add(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
+            for c in elems:
+                if plus(plus(a, b), c) != plus(a, plus(b, c)):
+                    found.add(f"associativity fails on ({a}, {b}, {c})")
+    return found
+
+
+@pytest.mark.parametrize("broken", ("neg", "plus"))
+def test_each_failing_mv_instance_reported_once(broken):
+    good = luka_chain(4)
+    plus, neg = good.plus_map, good.neg_map
+    if broken == "neg":
+        neg = {a: a for a in good.elements}  # not an involutive complement
+    else:
+        plus = {(a, b): a for a, b in plus}  # not commutative
+    bad = FiniteMV(good.elements, plus, neg, good.zero, good.one)
+    expected = expected_mv_failures(bad)
+    rep = check_mv_axioms(bad)
+    assert rep.triples_checked == 5**3
+    assert sorted(rep.violations) == sorted(expected)
+    sampled = SampledMV(
+        bad.plus, bad.neg, bad.zero, bad.one, lambda rng: rng.choice(bad.elements)
+    )
+    rep = check_mv_axioms(sampled)
+    assert (rep.mode, rep.triples_checked, rep.seed) == ("sampled", 1000, DEFAULT_SEED)
+    assert len(set(rep.violations)) == len(rep.violations)
+    assert set(rep.violations) == expected

@@ -16,7 +16,6 @@ from qlogic.states import (
     enumerate_vertex_states,
     is_separating,
     monotone_under,
-    state_constraints,
 )
 from test_algebra import catalog_suite
 from test_catalog import complete_quadrilateral, grid, stateless_pasting
@@ -107,6 +106,31 @@ def combinatorial_vertex_states(alg):
         )
     )
     return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
+
+
+def state_constraints(alg):
+    """Equality rows (coefficients, rhs) in element coordinates: v_unit = 1
+    and v_a + v_b = v_c, read straight off the table.
+
+    v_zero = 0 is not postulated; it falls out of the 0 + 0 = 0 row.
+    """
+    n = alg.size
+    rows = []
+    unit_row = [Fraction(0)] * n
+    unit_row[alg.unit] = Fraction(1)
+    rows.append((tuple(unit_row), Fraction(1)))
+    for a in alg.elements():
+        for b in range(a, n):
+            c = alg.table[a][b]
+            if c is None:
+                continue
+            row = [Fraction(0)] * n
+            row[a] += 1
+            row[b] += 1
+            row[c] -= 1
+            if any(row):
+                rows.append((tuple(row), Fraction(0)))
+    return rows
 
 
 def full_coordinate_vertex_states(alg):
