@@ -154,6 +154,10 @@ def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
     """
     elements = list(elements)
     pos = {e: i for i, e in enumerate(elements)}
+    if zero not in pos or unit not in pos:
+        raise MalformedTable("zero/unit index out of range")
+    labels = tuple(label(e) for e in elements)
+    _check_structure(labels, labels[pos[zero]], labels[pos[unit]])
     table = []
     for a in elements:
         row = []
@@ -163,10 +167,6 @@ def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
                 raise MalformedTable(f"{label(a)}(+){label(b)} = {c!r}, not an element")
             row.append(None if c is None else pos[c])
         table.append(row)
-    if zero not in pos or unit not in pos:
-        raise MalformedTable("zero/unit index out of range")
-    labels = tuple(label(e) for e in elements)
-    _check_structure(labels, labels[pos[zero]], labels[pos[unit]])
     return _validate_checked(labels, pos[zero], pos[unit], table)
 
 

@@ -7,11 +7,18 @@ samples plus adversarial corners.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, FiniteEffectAlgebra, find_isomorphism, tabulate
+from .algebra import (
+    MAX_CARRIER,
+    AlgebraError,
+    FiniteEffectAlgebra,
+    find_isomorphism,
+    tabulate,
+)
 from .catalog import MAX_POWERSET, boolean_powerset, subset_carrier
 from .mv import DEFAULT_SEED, SampledMV
 
@@ -40,41 +47,10 @@ class IntervalFunction:
     def domain_size(self) -> int:
         return len(self.values)
 
-    def __call__(self, x: int) -> Fraction:
-        return self.values[x]
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.domain_size,
             "values": [f"{v.numerator}/{v.denominator}" for v in self.values],
-        }
-
-
-@dataclass(frozen=True)
-class SquareIntervalFunction:
-    """An exact-rational function on {1..N} x {1..N} with values in [0, 1]."""
-
-    values: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, values):
-        rows = tuple(tuple(_as_unit_fraction(v) for v in row) for row in values)
-        if any(len(row) != len(rows) for row in rows):
-            raise AlgebraError("square function table is not square")
-        object.__setattr__(self, "values", rows)
-
-    @property
-    def side(self) -> int:
-        return len(self.values)
-
-    def __call__(self, x: int, y: int) -> Fraction:
-        return self.values[x][y]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.side,
-            "values": [
-                f"{v.numerator}/{v.denominator}" for row in self.values for v in row
-            ],
         }
 
 
@@ -84,9 +60,7 @@ def constant(n: int, value) -> IntervalFunction:
 
 def indicator(n: int, support) -> IntervalFunction:
     support = set(support)
-    return IntervalFunction(
-        [Fraction(1) if x in support else Fraction(0) for x in range(n)]
-    )
+    return IntervalFunction([1 if x in support else 0 for x in range(n)])
 
 
 def pointwise_sum(f: IntervalFunction, g: IntervalFunction) -> IntervalFunction | None:
@@ -103,29 +77,19 @@ def complement(f: IntervalFunction) -> IntervalFunction:
     return IntervalFunction([1 - v for v in f.values])
 
 
-def outer(f: IntervalFunction, g: IntervalFunction) -> SquareIntervalFunction:
-    """The tensor-side element with table f(x) * g(y)."""
+def outer(f: IntervalFunction, g: IntervalFunction) -> IntervalFunction:
+    """The tensor-side element f(x) * g(y) on N x N points, (x, y) at x*N + y."""
     if f.domain_size != g.domain_size:
         raise AlgebraError("domain sizes differ")
-    return SquareIntervalFunction(
-        [[a * b for b in g.values] for a in f.values]
-    )
+    return IntervalFunction([a * b for a in f.values for b in g.values])
 
 
-def square_sum(
-    F: SquareIntervalFunction, G: SquareIntervalFunction
-) -> SquareIntervalFunction | None:
-    if F.side != G.side:
-        raise AlgebraError("sides differ")
-    rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(F.values, G.values)]
-    if any(v > 1 for row in rows for v in row):
-        return None
-    return SquareIntervalFunction(rows)
-
-
-def diagonal_clone(F: SquareIntervalFunction) -> IntervalFunction:
-    """Restriction to the diagonal: the model's cloning map."""
-    return IntervalFunction([F.values[x][x] for x in range(F.side)])
+def diagonal_clone(F: IntervalFunction) -> IntervalFunction:
+    """Restriction of a function on N x N points to the diagonal: the cloning map."""
+    n = math.isqrt(F.domain_size)
+    if n * n != F.domain_size:
+        raise AlgebraError(f"domain size {F.domain_size} is not a square")
+    return IntervalFunction([F.values[x * n + x] for x in range(n)])
 
 
 def product_bimorphism(f: IntervalFunction, g: IntervalFunction) -> IntervalFunction:
@@ -170,8 +134,8 @@ def lukasiewicz_rationals() -> SampledMV:
 
 def indicator_algebra(n: int) -> FiniteEffectAlgebra:
     """The {0,1}-valued elements with the inherited (disjoint-support) sums."""
-    if n > 16:
-        raise AlgebraError("indicator enumeration supports N <= 16")
+    if 1 << n > MAX_CARRIER:
+        raise AlgebraError(f"2^{n} indicators exceed cap {MAX_CARRIER}")
     masks, label = subset_carrier(n)
 
     def plus(a, b):
@@ -201,17 +165,6 @@ class SharpElementsReport:
             and self.sampled_nonindicators_unsharp
             and self.isomorphic_to_powerset in (True, None)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sharp_count": self.sharp_count,
-            "all_indicators_sharp": self.all_indicators_sharp,
-            "closed_under_sum_and_complement": self.closed_under_sum_and_complement,
-            "sampled_nonindicators_unsharp": self.sampled_nonindicators_unsharp,
-            "isomorphic_to_powerset": self.isomorphic_to_powerset,
-            "seed": self.seed,
-        }
 
 
 def sharp_elements_report(

@@ -192,7 +192,6 @@ def find_chain_decomposition(
 @dataclass(frozen=True)
 class HiddenVariableModel:
     algebra: FiniteEffectAlgebra
-    witness: CloningWitness
     decomposition: tuple[ElementId, ...]
     mv: FiniteMV
     h: dict  # ElementId -> tuple of interval ElementIds
@@ -310,7 +309,7 @@ def hidden_variable_construct(
                 f"h is not additive on ({alg.labels[x]}, {alg.labels[y]})"
             )
     return HiddenVariableModel(
-        algebra=alg, witness=witness, decomposition=parts, mv=mv, h=h,
+        algebra=alg, decomposition=parts, mv=mv, h=h,
         induced=effect_algebra_of_mv(mv),
     )
 

@@ -33,7 +33,6 @@ from qlogic.divisible import (
     pointwise_sum,
     product_bimorphism,
     sample_function,
-    square_sum,
 )
 from qlogic.fuzz import random_algebras
 from qlogic.mv import (
@@ -166,7 +165,7 @@ def test_criterion_6_interval_function_model(capsys):
             ok = False
         # additivity of the diagonal map on orthogonal square functions
         F, G = outer(f, g), outer(f2, g)
-        S = square_sum(F, G)
+        S = pointwise_sum(F, G)
         if S is None or diagonal_clone(S) != pointwise_sum(
             diagonal_clone(F), diagonal_clone(G)
         ):

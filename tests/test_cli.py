@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import qlogic
 from qlogic import catalog, states
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
-from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA
+from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA, render_text
 from test_catalog import complete_quadrilateral, grid, stateless_pasting
 
 
@@ -122,6 +122,12 @@ def test_clone_search_budget_abort(capsys, tmp_path):
     )
     assert code == EXIT_ABORTED
     assert last_json(out)["results"]["status"] == "aborted"
+
+
+def test_hidden_budget_abort(capsys, bp2_file):
+    code, out = run(capsys, "hidden", bp2_file, "--budget", "0", "--format", "json")
+    assert code == EXIT_ABORTED
+    assert last_json(out)["results"] == {"error": "cloning search aborted"}
 
 
 def test_states(capsys, bp2_file):
@@ -652,6 +658,36 @@ def test_text_format_renders(capsys, bp2_file):
     code, out = run(capsys, "validate", bp2_file)
     assert code == EXIT_OK
     assert "valid: true" in out
+
+
+def test_render_text_lists():
+    doc = {
+        "rows": [{"a": 1, "b": None}, {"a": True}],
+        "labels": ["x", "y"],
+        "pairs": [["p", "q"], []],
+        "empty": [],
+        "nothing": {},
+    }
+    assert render_text(doc) == "\n".join(
+        [
+            "rows:",
+            "  -",
+            "    a: 1",
+            "    b: none",
+            "  -",
+            "    a: true",
+            "labels:",
+            "  - x",
+            "  - y",
+            "pairs:",
+            "  -",
+            "    - p",
+            "    - q",
+            "  - []",
+            "empty: []",
+            "nothing: {}",
+        ]
+    )
 
 
 def test_golden_states_report(capsys, tmp_path):

@@ -25,7 +25,6 @@ from qlogic.divisible import (
     product_bimorphism,
     sample_function,
     sharp_elements_report,
-    square_sum,
 )
 from qlogic.mv import check_mv_axioms
 
@@ -78,8 +77,21 @@ def test_clone_defect_is_f_minus_f_squared():
 
 def test_square_sum_partial():
     F = outer(fn("1/2", "1/2"), fn(1, 1))
-    assert square_sum(F, F).values[0][0] == Fraction(1)
-    assert square_sum(F, outer(constant(2, 1), constant(2, 1))) is None
+    assert pointwise_sum(F, F).values[0] == Fraction(1)
+    assert pointwise_sum(F, outer(constant(2, 1), constant(2, 1))) is None
+
+
+def test_outer_is_row_major():
+    F = outer(fn("1/2", "1/3"), fn(1, "1/5"))
+    assert F.domain_size == 4
+    # (x, y) at x*2 + y
+    assert F.values == tuple(map(Fraction, ("1/2", "1/10", "1/3", "1/15")))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_diagonal_clone_rejects_non_square_domain(n):
+    with pytest.raises(AlgebraError, match=f"domain size {n} is not a square"):
+        diagonal_clone(constant(n, Fraction(1, 2)))
 
 
 def test_sharp_iff_indicator():

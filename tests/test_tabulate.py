@@ -12,8 +12,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from qlogic import catalog
+from qlogic import catalog, divisible
 from qlogic.algebra import (
+    AlgebraError,
     CommutativityViolation,
     MalformedTable,
     derive_order,
@@ -190,3 +191,36 @@ def test_tabulate_rejects_zero_or_unit_outside_elements(zero, unit):
 
     with pytest.raises(MalformedTable, match="zero/unit index out of range"):
         tabulate(range(3), zero, unit, plus)
+
+
+def counting(fn):
+    def wrapped(*args):
+        wrapped.calls += 1
+        return fn(*args)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "size, label, message",
+    [
+        (65, str, "carrier size 65 exceeds cap 64"),
+        (3, lambda e: "x" if e else "0", "labels are not pairwise distinct"),
+    ],
+)
+def test_tabulate_refuses_bad_carrier_before_any_sum(size, label, message):
+    plus = counting(lambda a, b: a + b if a + b < size else None)
+    with pytest.raises(MalformedTable, match=message):
+        tabulate(range(size), 0, size - 1, plus, label)
+    assert plus.calls == 0
+
+
+def test_indicator_algebra_refuses_oversize_before_any_sum(monkeypatch):
+    calls = counting(divisible.pointwise_sum)
+    monkeypatch.setattr(divisible, "pointwise_sum", calls)
+    with pytest.raises(AlgebraError, match="cap 64"):
+        indicator_algebra(7)
+    assert calls.calls == 0
+    indicator_algebra(2)  # the counter does see the sums
+    assert calls.calls == 16
