@@ -521,15 +521,10 @@ class StructureReport:
 
     def to_json_dict(self, alg: FiniteEffectAlgebra) -> dict:
         return {
-            "is_effect_algebra": self.is_effect_algebra,
-            "is_orthoalgebra": self.is_orthoalgebra,
-            "is_orthomodular_poset": self.is_orthomodular_poset,
-            "is_boolean": self.is_boolean,
+            **vars(self),
             "sharp_elements": [alg.labels[p] for p in self.sharp_elements],
             "atoms": [alg.labels[p] for p in self.atoms],
             "iota": {alg.labels[p]: v for p, v in self.iota.items()},
-            "is_atomic": self.is_atomic,
-            "is_archimedean": self.is_archimedean,
             "incompatible_pairs": [
                 [alg.labels[p], alg.labels[q]] for p, q in self.incompatible_pairs
             ],

@@ -181,10 +181,14 @@ def _parse(text: str, depth: int = 1):
     if depth > MAX_SPEC_DEPTH:
         raise BoundExceeded(f"catalog spec nests deeper than {MAX_SPEC_DEPTH} levels")
     text = text.lstrip()
+    if not text:
+        raise BoundExceeded("catalog spec ended early")
     name_end = 0
     while name_end < len(text) and (text[name_end].isalnum() or text[name_end] == "_"):
         name_end += 1
     name = text[:name_end]
+    if not name:
+        raise BoundExceeded(f"cannot read catalog spec at {text!r}")
     if name not in _CONSTRUCTORS:
         raise BoundExceeded(f"unknown catalog constructor {name!r}")
     rest = text[name_end:].lstrip()

@@ -86,20 +86,20 @@ def cmd_clone_search(alg, args) -> tuple[dict, int]:
             cloning.check_witness_lemmas(alg, w).to_json_dict()
             for w in outcome.witnesses
         ]
-    if alg.size <= states.MAX_STATE_CARRIER:
-        try:
-            poly = states.enumerate_vertex_states(alg)
-            separating, _ = states.is_separating(alg, poly)
-        except states.EmptyStateSpace:
-            separating = False
-        results["state_space_separating"] = separating
-        if not separating:
-            # without a separating state space the bimorphism criterion is
-            # still decided, but its cloning-map reading is not asserted
-            results["interpretation"] = (
-                "state space is not separating; witness existence is reported "
-                "at the bimorphism level only"
-            )
+    try:
+        poly = states.enumerate_vertex_states(alg)
+        results["state_space_separating"] = states.is_separating(alg, poly)[0]
+    except states.EmptyStateSpace:
+        results["state_space_separating"] = False
+    except states.StateCarrierTooLarge:
+        pass  # above the cap the state keys are left out
+    if results.get("state_space_separating") is False:
+        # without a separating state space the bimorphism criterion is
+        # still decided, but its cloning-map reading is not asserted
+        results["interpretation"] = (
+            "state space is not separating; witness existence is reported "
+            "at the bimorphism level only"
+        )
     if outcome.status == "aborted":
         return results, EXIT_ABORTED
     return results, EXIT_OK if outcome.status == "witness-found" else EXIT_FAIL

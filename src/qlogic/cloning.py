@@ -67,11 +67,7 @@ class SearchOutcome:
     nodes_explored: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-            "nodes_explored": self.nodes_explored,
-        }
+        return {**vars(self), "witnesses": [w.to_json_dict() for w in self.witnesses]}
 
 
 def find_cloning_bimorphism(
@@ -267,11 +263,7 @@ class LemmaReport:
         return self.orthogonality_passed and self.idempotence_passed
 
     def to_json_dict(self) -> dict:
-        return {
-            "orthogonality_passed": self.orthogonality_passed,
-            "idempotence_passed": self.idempotence_passed,
-            "violations": list(self.violations),
-        }
+        return {**vars(self), "violations": list(self.violations)}
 
 
 def check_witness_lemmas(

@@ -27,6 +27,8 @@ from .cloning import CloningWitness, verify_witness
 from .states import StatePolytope, check_state
 
 DEFAULT_SEED = 20260823
+# verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT
+MAX_MIXTURE_WEIGHT = 12
 
 
 class ConstructionFailed(AlgebraError):
@@ -137,35 +139,27 @@ def effect_algebra_of_mv(mv: FiniteMV) -> FiniteEffectAlgebra:
 # Chain decompositions of the unit
 
 
-def is_chain_ideal(alg: FiniteEffectAlgebra, p: ElementId) -> bool:
-    """[0, p] totally ordered and closed under the inherited partial sum."""
+def chain_interval(alg: FiniteEffectAlgebra, p: ElementId) -> list[ElementId] | None:
+    """[0, p] in increasing order; None unless it is totally ordered and
+    closed under the inherited partial sum."""
     lo = derive_order(alg).leq
     interval = [x for x in alg.elements() if lo[x][p]]
     for x in interval:
         for y in interval:
             if not (lo[x][y] or lo[y][x]):
-                return False
+                return None
             s = alg.table[x][y]
             if s is not None and not lo[s][p]:
-                return False
-    return True
-
-
-def interval_elements(alg: FiniteEffectAlgebra, p: ElementId) -> list[ElementId]:
-    lo = derive_order(alg).leq
-    return sorted(
-        (x for x in alg.elements() if lo[x][p]),
-        key=lambda x: sum(1 for y in alg.elements() if lo[y][x]),
-    )
+                return None
+    # on a chain, the size of each down-set gives the order
+    return sorted(interval, key=lambda x: sum(lo[y][x] for y in interval))
 
 
 def find_chain_decomposition(
     alg: FiniteEffectAlgebra,
 ) -> list[tuple[ElementId, ...]]:
     """All multisets {p_n} of chain-ideal parts with total sum 1."""
-    candidates = [
-        p for p in alg.elements() if p != alg.zero and is_chain_ideal(alg, p)
-    ]
+    candidates = [p for p in alg.elements() if p != alg.zero and chain_interval(alg, p)]
     results: list[tuple[ElementId, ...]] = []
     # (parts so far, their sum, first candidate index still allowed); the
     # order of the walk does not matter because the results are sorted
@@ -192,7 +186,7 @@ def find_chain_decomposition(
 @dataclass(frozen=True)
 class HiddenVariableModel:
     algebra: FiniteEffectAlgebra
-    decomposition: tuple[ElementId, ...]
+    components: tuple[FiniteMV, ...]  # interval_mv of each part, in part order
     mv: FiniteMV
     h: dict  # ElementId -> tuple of interval ElementIds
     induced: FiniteEffectAlgebra  # effect_algebra_of_mv(mv), built once
@@ -200,46 +194,34 @@ class HiddenVariableModel:
     def to_json_dict(self) -> dict:
         labels = self.algebra.labels
         return {
-            "decomposition": [labels[p] for p in self.decomposition],
+            "decomposition": [labels[c.one] for c in self.components],
             "h": {
                 labels[x]: [labels[c] for c in img]
                 for x, img in sorted(self.h.items())
             },
             "components": [
-                {
-                    "part": labels[p],
-                    "interval": [
-                        labels[x] for x in interval_elements(self.algebra, p)
-                    ],
-                }
-                for p in self.decomposition
+                {"part": labels[c.one], "interval": [labels[x] for x in c.elements]}
+                for c in self.components
             ],
         }
 
 
 def interval_mv(alg: FiniteEffectAlgebra, p: ElementId) -> FiniteMV:
     """Truncated-sum MV structure on the chain ideal [0, p]."""
-    if not is_chain_ideal(alg, p):
+    interval = chain_interval(alg, p)
+    if interval is None:
         raise ConstructionFailed(
             f"[0, {alg.labels[p]}] is not a totally ordered sum-closed interval"
         )
-    interval = interval_elements(alg, p)
-    iset = set(interval)
-    plus_map = {}
-    for x in interval:
-        for y in interval:
-            s = alg.table[x][y]
-            plus_map[(x, y)] = s if s is not None and s in iset else p
+    # [0, p] is sum-closed, so only an undefined sum truncates to p
+    t = alg.table
+    plus_map = {
+        (x, y): p if t[x][y] is None else t[x][y] for x in interval for y in interval
+    }
     # the complement p - x of each x <= p lies in [0, p]
     difference = derive_order(alg).difference
     neg_map = {x: difference[x][p] for x in interval}
-    return FiniteMV(
-        elements=tuple(interval),
-        plus_map=plus_map,
-        neg_map=neg_map,
-        zero=alg.zero,
-        one=p,
-    )
+    return FiniteMV(interval, plus_map, neg_map, zero=alg.zero, one=p)
 
 
 def product_mv(components: list[FiniteMV]) -> FiniteMV:
@@ -309,7 +291,7 @@ def hidden_variable_construct(
                 f"h is not additive on ({alg.labels[x]}, {alg.labels[y]})"
             )
     return HiddenVariableModel(
-        algebra=alg, decomposition=parts, mv=mv, h=h,
+        algebra=alg, components=tuple(components), mv=mv, h=h,
         induced=effect_algebra_of_mv(mv),
     )
 
@@ -394,8 +376,10 @@ def verify_hidden_variable(
     The state with integer weights w (a unit vector for a vertex) is the int
     vector sum(w_i * L*V_i) at scale L*sum(w), L the vertices' common
     denominator.  With no negative entry, one check covers all states:
-    state j is bits [j*width, (j+1)*width) of one int per element, and any
-    value or sum of two fits its lane.  A failure is rechecked per state.
+    state j is bits [j*width, (j+1)*width) of one int per element.  With k
+    vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L, largest
+    entry), and a lane holds twice that, so any value or sum of two fits its
+    lane.  A failure is rechecked per state.
     """
     common = lcm(*(x.denominator for v in polytope.vertices for x in v))
     vertices = [
@@ -406,14 +390,18 @@ def verify_hidden_variable(
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     rng = random.Random(seed)
     if vertices:
-        rows += [[rng.randint(1, 12) for _ in vertices] for _ in range(mixtures)]
+        rows += [
+            [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in vertices]
+            for _ in range(mixtures)
+        ]
     violations: list[str] = []
     if rows:
         lift = _lift_index(model)
         columns = list(zip(*vertices))
         batches = [rows]
         if min(map(min, vertices)) >= 0:
-            width = (24 * k * max(common, *map(max, vertices))).bit_length()
+            top = max(common, *map(max, vertices))
+            width = (2 * MAX_MIXTURE_WEIGHT * k * top).bit_length()
             packed = [sum(x << j * width for j, x in enumerate(c)) for c in zip(*rows)]
             batches.insert(0, [packed])
         for batch in batches:

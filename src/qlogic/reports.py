@@ -57,24 +57,18 @@ def make_report(
 
 def render_text(doc, indent: int = 0) -> str:
     pad = "  " * indent
-    lines = []
     if isinstance(doc, dict):
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
-                lines.append(render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(value)}")
+        entries = [(f"{key}:", value) for key, value in doc.items()]
     elif isinstance(doc, list):
-        for value in doc:
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}-")
-                lines.append(render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(value)}")
+        entries = [("-", value) for value in doc]
     else:
-        lines.append(f"{pad}{_scalar(doc)}")
-    return "\n".join(lines)
+        return f"{pad}{_scalar(doc)}"
+    return "\n".join(
+        f"{pad}{head}\n{render_text(value, indent + 1)}"
+        if isinstance(value, (dict, list)) and value
+        else f"{pad}{head} {_scalar(value)}"
+        for head, value in entries
+    )
 
 
 def _scalar(value) -> str:

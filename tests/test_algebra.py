@@ -1,6 +1,7 @@
 """Core algebra layer: validation, derived order, structural predicates."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -36,7 +37,7 @@ from qlogic.algebra import (
     tabulate,
     validate,
 )
-from qlogic.fuzz import random_algebras
+from qlogic.fuzz import random_algebras, shuffle_carrier
 from qlogic.mv import find_chain_decomposition
 
 
@@ -494,6 +495,23 @@ def test_isomorphism_search_positive_and_negative():
     assert find_isomorphism(catalog.mo(1), catalog.boolean_powerset(2)) is not None
     assert find_isomorphism(catalog.mo(2), catalog.boolean_powerset(2)) is None
     assert find_isomorphism(catalog.chain(1), catalog.boolean_powerset(1)) is not None
+    # the same size, different element profiles
+    assert find_isomorphism(catalog.mo(2), catalog.chain(5)) is None
+    # the same profiles, but bp(2) sums two distinct atoms and the other
+    # algebra sums each atom with itself
+    bp2 = catalog.boolean_powerset(2)
+    two_chains = catalog.horizontal_sum(catalog.chain(2), catalog.chain(2))
+    assert find_isomorphism(bp2, two_chains) is None
+    rng = random.Random(5)
+    for alg in random_algebras(seed=5, count=6):
+        shuffled = shuffle_carrier(alg, rng)
+        m = find_isomorphism(alg, shuffled)
+        assert sorted(m.values()) == list(shuffled.elements())
+        for p in alg.elements():
+            for q in alg.elements():
+                s = alg.table[p][q]
+                t = shuffled.table[m[p]][m[q]]
+                assert t == (None if s is None else m[s])
 
 
 # ---------------------------------------------------------------------------

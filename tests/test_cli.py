@@ -80,7 +80,7 @@ def test_validate_malformed_input(capsys, tmp_path):
 
 
 def test_validate_unknown_key_rejected(capsys, tmp_path, bp2_file):
-    doc = json.loads(open(bp2_file).read())
+    doc = json.loads(Path(bp2_file).read_text())
     doc["plot"] = True
     path = tmp_path / "extra.json"
     path.write_text(json.dumps(doc))
@@ -301,23 +301,55 @@ def test_catalog_bad_spec(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, error",
     [
-        pytest.param("chain(\u00b2)", id="digit-int-cannot-read"),
-        pytest.param("chain(" + "9" * 5000 + ")", id="past-int-digit-limit"),
-        pytest.param("horizontal_sum(chain(2),2)", id="integer-for-algebra"),
-        pytest.param("product(2,3)", id="integers-for-algebras"),
-        pytest.param("chain(chain(2))", id="algebra-for-integer"),
-        pytest.param("chain()", id="too-few-arguments"),
-        pytest.param("chain(1,2)", id="too-many-arguments"),
-        pytest.param("wright_triangle(3)", id="argument-to-constant"),
-        pytest.param("mo()", id="empty-argument-list"),
+        pytest.param(
+            "chain(\u00b2)", "unknown catalog constructor '\u00b2'",
+            id="digit-int-cannot-read",
+        ),
+        pytest.param(
+            "chain(" + "9" * 5000 + ")", "catalog argument with 5000 digits",
+            id="past-int-digit-limit",
+        ),
+        pytest.param(
+            "horizontal_sum(chain(2),2)", "horizontal_sum takes algebras",
+            id="integer-for-algebra",
+        ),
+        pytest.param(
+            "product(2,3)", "product takes algebras", id="integers-for-algebras"
+        ),
+        pytest.param(
+            "chain(chain(2))", "chain takes integers", id="algebra-for-integer"
+        ),
+        pytest.param(
+            "chain()", "chain takes 1 argument(s), got 0", id="too-few-arguments"
+        ),
+        pytest.param(
+            "chain(1,2)", "chain takes 1 argument(s), got 2", id="too-many-arguments"
+        ),
+        pytest.param(
+            "wright_triangle(3)", "wright_triangle takes 0 argument(s), got 1",
+            id="argument-to-constant",
+        ),
+        pytest.param("mo()", "mo takes 1 argument(s), got 0", id="empty-argument-list"),
+        pytest.param("mo(2", "catalog spec ended early", id="ends-after-argument"),
+        pytest.param("mo(", "catalog spec ended early", id="ends-after-paren"),
+        pytest.param("", "catalog spec ended early", id="empty-spec"),
+        pytest.param(
+            "mo(2,,3)", "cannot read catalog spec at ',3)'", id="empty-argument"
+        ),
+        pytest.param(
+            "product(chain(2)", "catalog spec ended early", id="ends-inside-nested-call"
+        ),
+        pytest.param(
+            "chain(-1)", "cannot read catalog spec at '-1)'", id="negative-argument"
+        ),
     ],
 )
-def test_catalog_spec_with_bad_arguments(capsys, spec):
+def test_catalog_spec_with_bad_arguments(capsys, spec, error):
     code, out = run(capsys, "catalog", spec, "--format", "json")
     assert code == EXIT_BAD_INPUT
-    assert "error" in last_json(out)["results"]
+    assert error in last_json(out)["results"]["error"]
 
 
 def run_process(*argv, stdout=subprocess.PIPE, stdin_text=None):

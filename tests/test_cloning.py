@@ -15,6 +15,7 @@ from qlogic.algebra import (
 )
 from qlogic.cloning import (
     DEFAULT_NODE_BUDGET,
+    CloningWitness,
     DecompositionMismatch,
     NotBoolean,
     check_witness_lemmas,
@@ -78,6 +79,44 @@ def test_verify_rejects_bad_table_on_chain2():
     ok, violation = verify_witness(alg, tuple(tuple(r) for r in table))
     assert not ok
     assert "biadditivity" in violation
+
+
+def _meet_table_with(alg, cells):
+    """alg's meet witness table with the given (p, q) -> value cells changed."""
+    table = [list(row) for row in meet_witness(alg).table]
+    for (p, q), v in cells.items():
+        table[p][q] = v
+    return tuple(tuple(row) for row in table)
+
+
+def test_verify_rejects_malformed_tables():
+    alg = catalog.boolean_powerset(2)
+    a, u = alg.index("{1}"), alg.unit
+    cases = [
+        (meet_witness(alg).table[:-1], "table is not square over the carrier"),
+        (_meet_table_with(alg, {(a, a): alg.size}), "cell ({1}, {1}) is not an element"),
+        (_meet_table_with(alg, {(a, a): "x"}), "cell ({1}, {1}) is not an element"),
+        (_meet_table_with(alg, {(a, u): alg.zero}), "unit law fails: c({1}, 1) != {1}"),
+        (_meet_table_with(alg, {(u, a): alg.zero}), "unit law fails: c(1, {1}) != {1}"),
+    ]
+    for table, message in cases:
+        assert verify_witness(alg, table) == (False, message)
+
+
+def test_witness_lemma_violations_are_reported_separately():
+    alg = catalog.boolean_powerset(2)
+    a, b, u = alg.index("{1}"), alg.index("{2}"), alg.unit
+    # {1} and {2} are orthogonal, but c({1}, {2}) is not 0
+    witness = CloningWitness(alg, _meet_table_with(alg, {(a, b): a}))
+    rep = check_witness_lemmas(alg, witness)
+    assert (rep.orthogonality_passed, rep.idempotence_passed) == (False, True)
+    assert rep.violations == ("c({1}, {2}) = 0 is False but orthogonality is True",)
+    # c(1, 1) is {1}: not 0, as 1 is not orthogonal to itself, but not 1 either
+    witness = CloningWitness(alg, _meet_table_with(alg, {(u, u): a}))
+    rep = check_witness_lemmas(alg, witness)
+    assert (rep.orthogonality_passed, rep.idempotence_passed) == (True, False)
+    assert rep.violations == ("c({1,2}, {1,2}) != {1,2}",)
+    assert not rep.passed
 
 
 def test_found_witnesses_round_trip_verify():

@@ -7,22 +7,23 @@ from fractions import Fraction
 import pytest
 
 from qlogic import catalog
-from qlogic.algebra import find_isomorphism
+from qlogic.algebra import derive_order, find_isomorphism
 from qlogic.cloning import find_cloning_bimorphism, meet_witness
 from qlogic.fuzz import random_algebras
 from qlogic.mv import (
     DEFAULT_SEED,
+    MAX_MIXTURE_WEIGHT,
     ConstructionFailed,
     FiniteMV,
     HiddenVariableReport,
     SampledMV,
+    chain_interval,
     check_lifted_state,
     check_mv_axioms,
     effect_algebra_of_mv,
     find_chain_decomposition,
     hidden_variable_construct,
     interval_mv,
-    is_chain_ideal,
     order_reflection_holds,
     product_mv,
     verify_hidden_variable,
@@ -85,9 +86,23 @@ def test_mv_effect_algebra_partiality():
 
 def test_chain_ideal_predicate():
     alg = catalog.boolean_powerset(2)
-    assert is_chain_ideal(alg, alg.index("{1}"))
-    assert not is_chain_ideal(alg, alg.unit)  # {1} and {2} are incomparable
-    assert is_chain_ideal(catalog.chain(2), catalog.chain(2).unit)
+    assert chain_interval(alg, alg.index("{1}")) is not None
+    assert chain_interval(alg, alg.unit) is None  # {1} and {2} are incomparable
+    assert chain_interval(catalog.chain(2), catalog.chain(2).unit) is not None
+
+
+def test_chain_interval_is_increasing():
+    alg = catalog.chain(3)
+    assert chain_interval(alg, alg.unit) == [
+        alg.index(x) for x in ("0", "1/3", "2/3", "1")
+    ]
+    for alg in random_algebras(seed=3, count=100):
+        lo = derive_order(alg).leq
+        for p in alg.elements():
+            interval = chain_interval(alg, p)
+            if interval is not None:
+                assert sorted(interval) == [x for x in alg.elements() if lo[x][p]]
+                assert all(lo[x][y] for x, y in zip(interval, interval[1:]))
 
 
 def test_chain_decomposition_bp2():
@@ -260,7 +275,9 @@ def fraction_verify_hidden_variable(
     n_mix = 0
     if len(polytope.vertices) >= 1:
         for _ in range(mixtures):
-            weights = [Fraction(rng.randint(1, 12)) for _ in polytope.vertices]
+            weights = [
+                Fraction(rng.randint(1, MAX_MIXTURE_WEIGHT)) for _ in polytope.vertices
+            ]
             total = sum(weights)
             mixed = [
                 sum(w * v[p] for w, v in zip(weights, polytope.vertices)) / total
