@@ -12,8 +12,8 @@ decided from the table and that record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 ElementId = int
 
@@ -64,14 +64,37 @@ class ZeroHasNoIndex(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
 class FiniteEffectAlgebra:
-    """A validated finite effect algebra (labels, zero, unit, partial sum table)."""
+    """A validated finite effect algebra (labels, zero, unit, partial sum table).
 
-    labels: tuple[str, ...]
-    zero: ElementId
-    unit: ElementId
-    table: tuple[tuple[ElementId | None, ...], ...]
+    Immutable: its fields compare and hash as the tuple (labels, zero, unit,
+    table), and assigning an attribute raises AttributeError.
+    """
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        zero: ElementId,
+        unit: ElementId,
+        table: tuple[tuple[ElementId | None, ...], ...],
+    ):
+        self.__dict__.update(labels=labels, zero=zero, unit=unit, table=table)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.labels, self.zero, self.unit, self.table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def size(self) -> int:
@@ -279,8 +302,7 @@ def _validate_checked(labels, zero, unit, table) -> FiniteEffectAlgebra:
 # Derived order structure
 
 
-@dataclass(frozen=True)
-class DerivedStructure:
+class DerivedStructure(NamedTuple):
     """Order structure derived from the sum table, built once per algebra.
 
     ``leq[p][q]``: p <= q.  ``difference[p][q]``: the r with p + r = q, or None.
@@ -506,8 +528,7 @@ def _boolean_via_lattice(alg: FiniteEffectAlgebra) -> bool:
 # Structure report
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     is_effect_algebra: bool
     is_orthoalgebra: bool
     is_orthomodular_poset: bool
@@ -521,7 +542,7 @@ class StructureReport:
 
     def to_json_dict(self, alg: FiniteEffectAlgebra) -> dict:
         return {
-            **vars(self),
+            **self._asdict(),
             "sharp_elements": [alg.labels[p] for p in self.sharp_elements],
             "atoms": [alg.labels[p] for p in self.atoms],
             "iota": {alg.labels[p]: v for p, v in self.iota.items()},

@@ -7,7 +7,9 @@ carrier cap).
 
 `main` reads and loads the input file, maps load errors to exit codes and
 prints the one report; each file command is a function from the loaded
-algebra and the parsed arguments to its results and exit code.
+algebra and the parsed arguments to its results and exit code.  Start-up
+imports only `algebra` and `reports`; each command imports the modules it
+runs when it runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import os
 import sys
 
-from . import algebra, catalog, cloning, mv, reports, states
+from . import algebra, reports
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,6 +77,10 @@ def cmd_analyze(alg, args) -> tuple[dict, int]:
 
 
 def cmd_clone_search(alg, args) -> tuple[dict, int]:
+    from . import cloning, states
+
+    if args.budget is None:
+        args.budget = cloning.DEFAULT_NODE_BUDGET
     outcome = cloning.find_cloning_bimorphism(
         alg, enumerate_all=args.all, node_budget=args.budget
     )
@@ -106,10 +112,14 @@ def cmd_clone_search(alg, args) -> tuple[dict, int]:
 
 
 def cmd_states(alg, args) -> tuple[dict, int]:
+    from . import states
+
     try:
         poly = states.enumerate_vertex_states(alg)
     except states.EmptyStateSpace as exc:
         return {"empty_state_space": True, "detail": str(exc)}, EXIT_FAIL
+    except states.StateCarrierTooLarge as exc:
+        return {"error": str(exc)}, EXIT_ABORTED
     separating, merged = states.is_separating(alg, poly)
     return {
         "vertex_count": len(poly.vertices),
@@ -125,6 +135,12 @@ def _unmet(reason: str) -> tuple[dict, int]:
 
 
 def cmd_hidden(alg, args) -> tuple[dict, int]:
+    from . import cloning, mv, states
+
+    if args.budget is None:
+        args.budget = cloning.DEFAULT_NODE_BUDGET
+    if args.seed is None:
+        args.seed = mv.DEFAULT_SEED
     outcome = cloning.find_cloning_bimorphism(alg, node_budget=args.budget)
     if outcome.status == "aborted":
         return {"error": "cloning search aborted"}, EXIT_ABORTED
@@ -141,7 +157,10 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
             return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
     # a witness exists only on Boolean algebras, whose states are never empty
-    poly = states.enumerate_vertex_states(alg)
+    try:
+        poly = states.enumerate_vertex_states(alg)
+    except states.StateCarrierTooLarge as exc:
+        return {"error": str(exc)}, EXIT_ABORTED
     try:
         model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
     except mv.ConstructionFailed as exc:
@@ -157,6 +176,8 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
 
 def cmd_catalog(args) -> int:
     """No input file; without -o the algebra's JSON is the whole output."""
+    from . import catalog
+
     try:
         alg = catalog.build_spec(args.spec)
     except algebra.AlgebraError as exc:
@@ -199,12 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     file_command("analyze", cmd_analyze, "full structure report")
     p = file_command("clone-search", cmd_clone_search, "search for cloning bimorphisms")
     p.add_argument("--all", action="store_true", help="enumerate all witnesses")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=cloning.DEFAULT_NODE_BUDGET,
-        help="search node budget",
-    )
+    # --budget and --seed default to None: the command fills them in from
+    # cloning and mv, which building the parser does not import
+    p.add_argument("--budget", type=int, help="search node budget")
     file_command("states", cmd_states, "enumerate vertex states")
     p = file_command("hidden", cmd_hidden, "hidden-variable model construction")
     p.add_argument(
@@ -212,13 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated part labels for the decomposition; commas "
         "inside (), {} or [] belong to a label",
     )
-    p.add_argument("--seed", type=int, default=mv.DEFAULT_SEED)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=cloning.DEFAULT_NODE_BUDGET,
-        help="cloning search node budget",
-    )
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=int, help="cloning search node budget")
 
     p = sub.add_parser("catalog", help="emit a catalog algebra as JSON")
     p.add_argument("spec", help='constructor spec, e.g. "mo(2)" or "chain(3)"')
@@ -253,11 +266,8 @@ def main(argv=None) -> int:
         else:
             digest, results = None, {"error": f"{type(exc).__name__}: {exc}"}
     else:
-        seed = getattr(args, "seed", None)
-        try:
-            results, code = args.func(alg, args)
-        except states.StateCarrierTooLarge as exc:
-            results, code = {"error": str(exc)}, EXIT_ABORTED
+        results, code = args.func(alg, args)
+        seed = getattr(args, "seed", None)  # read after hidden fills it in
     doc = reports.make_report(args.command, digest, seed, results)
     _write(reports.emit(doc, args.format))
     return code

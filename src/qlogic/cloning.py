@@ -9,7 +9,7 @@ nonexistence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -32,8 +32,7 @@ class DecompositionMismatch(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class CloningWitness:
+class CloningWitness(NamedTuple):
     """A total map c: E x E -> E passing verify_witness on its algebra."""
 
     algebra: FiniteEffectAlgebra
@@ -60,14 +59,14 @@ class CloningWitness:
         return {"witness": rows}
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # "witness-found" | "no-witness" | "aborted"
     witnesses: list[CloningWitness]
     nodes_explored: int
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "witnesses": [w.to_json_dict() for w in self.witnesses]}
+        witnesses = [w.to_json_dict() for w in self.witnesses]
+        return {**self._asdict(), "witnesses": witnesses}
 
 
 def find_cloning_bimorphism(
@@ -252,8 +251,7 @@ def meet_witness(alg: FiniteEffectAlgebra) -> CloningWitness:
     return witness
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     orthogonality_passed: bool  # c(p,q) = 0  iff  p orthogonal to q
     idempotence_passed: bool  # c(p,p) = p
     violations: tuple[str, ...]
@@ -263,7 +261,7 @@ class LemmaReport:
         return self.orthogonality_passed and self.idempotence_passed
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "violations": list(self.violations)}
+        return {**self._asdict(), "violations": list(self.violations)}
 
 
 def check_witness_lemmas(

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     MAX_CARRIER,
@@ -32,16 +32,28 @@ def _as_unit_fraction(x) -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
 class IntervalFunction:
-    """An exact-rational function on {1..N} with values in [0, 1]."""
+    """An exact-rational function on {1..N} with values in [0, 1].
 
-    values: tuple[Fraction, ...]
+    Immutable: it compares and hashes by its values, and assigning an
+    attribute raises AttributeError.
+    """
 
     def __init__(self, values):
-        object.__setattr__(
-            self, "values", tuple(_as_unit_fraction(v) for v in values)
-        )
+        self.__dict__["values"] = tuple(_as_unit_fraction(v) for v in values)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
 
     @property
     def domain_size(self) -> int:
@@ -147,8 +159,7 @@ def indicator_algebra(n: int) -> FiniteEffectAlgebra:
     return tabulate(masks, 0, (1 << n) - 1, plus, label)
 
 
-@dataclass(frozen=True)
-class SharpElementsReport:
+class SharpElementsReport(NamedTuple):
     n: int
     sharp_count: int
     all_indicators_sharp: bool

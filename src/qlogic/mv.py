@@ -10,10 +10,10 @@ rows at the parts give the embedding h.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -71,8 +71,7 @@ class SampledMV:
         self.elements = None
 
 
-@dataclass(frozen=True)
-class MVReport:
+class MVReport(NamedTuple):
     passed: bool
     mode: str  # "exhaustive" | "sampled"
     triples_checked: int
@@ -183,8 +182,7 @@ def find_chain_decomposition(
 # Hidden-variable construction
 
 
-@dataclass(frozen=True)
-class HiddenVariableModel:
+class HiddenVariableModel(NamedTuple):
     algebra: FiniteEffectAlgebra
     components: tuple[FiniteMV, ...]  # interval_mv of each part, in part order
     mv: FiniteMV
@@ -351,8 +349,7 @@ def check_lifted_state(
     return violations
 
 
-@dataclass(frozen=True)
-class HiddenVariableReport:
+class HiddenVariableReport(NamedTuple):
     passed: bool
     states_checked: int
     mixtures_checked: int
@@ -362,7 +359,7 @@ class HiddenVariableReport:
 
     def to_json_dict(self) -> dict:
         # the report's keys are the fields, in their order
-        return {**vars(self), "violations": list(self.violations)}
+        return {**self._asdict(), "violations": list(self.violations)}
 
 
 def verify_hidden_variable(

@@ -23,9 +23,9 @@ only Fractions made are the returned vertex coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import AlgebraError, ElementId, FiniteEffectAlgebra, derive_order
 
@@ -40,8 +40,7 @@ class StateCarrierTooLarge(AlgebraError):
     """The carrier has more than MAX_STATE_CARRIER elements to enumerate."""
 
 
-@dataclass(frozen=True)
-class StatePolytope:
+class StatePolytope(NamedTuple):
     """Vertex states, each a tuple of Fractions indexed by ElementId."""
 
     vertices: tuple[tuple[Fraction, ...], ...]

@@ -139,6 +139,19 @@ def test_json_round_trip():
     assert again == alg
 
 
+def test_algebra_is_immutable_and_hashes_by_its_fields():
+    alg, again = catalog.mo(2), catalog.mo(2)
+    assert alg is not again and alg == again and hash(alg) == hash(again)
+    assert alg != catalog.boolean_powerset(2)
+    derive_order(alg)  # the derived record is kept on the instance
+    for name in ("labels", "zero", "table", "_derived"):
+        with pytest.raises(AttributeError):
+            setattr(alg, name, None)
+        with pytest.raises(AttributeError):
+            delattr(alg, name)
+    assert alg == again
+
+
 # ---------------------------------------------------------------------------
 # orthoalgebra predicate
 

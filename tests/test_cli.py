@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import catalog, states
+from qlogic import catalog, mv, states
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA, render_text
 from test_catalog import complete_quadrilateral, grid, stateless_pasting
@@ -744,3 +744,119 @@ def test_clone_search_above_state_cap_leaves_out_state_keys(tmp_path):
     assert results["status"] == "no-witness"
     assert "state_space_separating" not in results
     assert "interpretation" not in results
+
+
+# SHA-256 of json.dumps(results, indent=2) with the report's own key order,
+# captured before the report records became named tuples
+PINNED_RESULTS = {
+    ("boolean_powerset(2)", "analyze"): "06b49551c44b8efa5a1a0506b7ca2c6af24cb98394d9da4fc80c1bfb15eaf813",
+    ("boolean_powerset(2)", "clone-search --all"): "4402268e881314270582144d54e0f14c6bb578c79c81191889da101ad242768b",
+    ("boolean_powerset(2)", "states"): "fc61a71eb2a6b7581201b27d2d712a29979fed8e7381643b1776d524cc9d6593",
+    ("boolean_powerset(2)", "hidden"): "5d7e4fbfffa31c806a82ec4e7060fa2121e26dfa7f59ed0964f80e9061ef6639",
+    ("mo(2)", "analyze"): "8aa28c60f5221e1adebd6480935a60c7eb71f468136763c351cbd712e10eb473",
+    ("mo(2)", "clone-search --all"): "60891ad128fb4162195ca7b9f5f3883f0d00c0fd61f2f8041e1e8eb05758497b",
+    ("mo(2)", "states"): "06e8b1434380f6a5a15fcc659314d9a49ee318afdf4670caa1e3d2bddc550c5e",
+    ("mo(2)", "hidden"): "d5dcb2c4436978dc3c91a4b73856ec5afd2ab3bb9738a12fd6118f0f8812a8ec",
+}
+
+
+@pytest.mark.parametrize("spec, command", sorted(PINNED_RESULTS))
+def test_report_json_pinned(capsys, tmp_path, spec, command):
+    path = tmp_path / "alg.json"
+    path.write_text(catalog.build_spec(spec).to_json() + "\n")
+    name, *options = command.split()
+    _, out = run(capsys, name, str(path), *options, "--format", "json")
+    # json.loads keeps the key order, which sort_keys digests would not see
+    text = json.dumps(last_json(out)["results"], indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RESULTS[spec, command]
+
+
+LAYER_MODULES = {"qlogic.catalog", "qlogic.cloning", "qlogic.mv", "qlogic.states"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["validate", "{file}"], LAYER_MODULES),
+        (["analyze", "{file}"], LAYER_MODULES),
+        (["states", "{file}"], {"qlogic.cloning", "qlogic.mv"}),
+        (["clone-search", "{file}", "--all"], set()),
+        (["hidden", "{file}"], set()),
+        (["catalog", "mo(2)"], set()),
+    ],
+    ids=["validate", "analyze", "states", "clone-search", "hidden", "catalog"],
+)
+def test_commands_import_only_what_they_run(bp2_file, argv, absent):
+    """Each command in a fresh interpreter, without site, lists sys.modules."""
+    src = str(Path(qlogic.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "from qlogic.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "sys.stderr.write(' '.join(sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *(a.format(file=bp2_file) for a in argv)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    loaded = set(proc.stderr.split())
+    assert "qlogic.cli" in loaded
+    assert sorted(loaded & (absent | {"dataclasses"})) == []
+
+
+def test_hidden_seed_defaults_to_mv_default_seed(capsys, bp2_file):
+    code, out = run(capsys, "hidden", bp2_file, "--format", "json")
+    doc = last_json(out)
+    assert code == EXIT_OK
+    assert doc["seed"] == doc["results"]["verification"]["seed"] == mv.DEFAULT_SEED
+
+
+# argparse help at 80 columns, as printed before the defaults of --budget
+# and --seed moved out of the parser; Python 3.10 says "optional arguments"
+PINNED_HELP = {
+    "clone-search": """\
+usage: qlogic clone-search [-h] [--format {text,json}] [--all]
+                           [--budget BUDGET]
+                           file
+
+positional arguments:
+  file                  algebra JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --all                 enumerate all witnesses
+  --budget BUDGET       search node budget
+""",
+    "hidden": """\
+usage: qlogic hidden [-h] [--format {text,json}] [--parts PARTS] [--seed SEED]
+                     [--budget BUDGET]
+                     file
+
+positional arguments:
+  file                  algebra JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --parts PARTS         comma-separated part labels for the decomposition;
+                        commas inside (), {} or [] belong to a label
+  --seed SEED
+  --budget BUDGET       cloning search node budget
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+def test_help_text_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out.replace("optional arguments:", "options:")
+    assert out == PINNED_HELP[command]

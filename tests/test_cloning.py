@@ -68,7 +68,6 @@ def test_enumerate_all_unique_on_booleans():
 def test_verify_rejects_bad_table_on_chain2():
     alg = catalog.chain(2)
     h = alg.index("1/2")
-    table = [[alg.table[p][alg.zero] for _ in alg.elements()] for p in alg.elements()]
     table = [[None] * 3 for _ in range(3)]
     for p in alg.elements():
         table[p][alg.unit] = p

@@ -40,6 +40,16 @@ def test_values_validated():
         IntervalFunction([Fraction(3, 2)])
 
 
+def test_interval_function_is_immutable_and_hashes_by_its_values():
+    f = fn("1/2", 1)
+    assert f == IntervalFunction([Fraction(1, 2), 1]) and hash(f) == hash(fn("1/2", 1))
+    assert f != fn("1/2", 0)
+    with pytest.raises(AttributeError):
+        f.values = ()
+    with pytest.raises(AttributeError):
+        del f.values
+
+
 def test_pointwise_sum_partial():
     f = fn("1/2", "3/4")
     assert pointwise_sum(f, fn("1/2", "1/4")).values == (Fraction(1), Fraction(1))

@@ -1,7 +1,6 @@
 """MV axioms, the induced effect algebra, and hidden-variable models."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -215,6 +214,16 @@ def test_verify_hidden_variable_with_mixtures(k):
     assert rep.order_reflection
 
 
+def test_hidden_variable_report_is_immutable():
+    alg = catalog.boolean_powerset(2)
+    witness = find_cloning_bimorphism(alg).witnesses[0]
+    model = hidden_variable_construct(alg, witness, atomic_decomposition(alg))
+    rep = verify_hidden_variable(model, enumerate_vertex_states(alg))
+    with pytest.raises(AttributeError):
+        rep.passed = False
+    assert rep.passed
+
+
 def test_construct_requires_valid_witness():
     alg = catalog.boolean_powerset(2)
     witness = meet_witness(alg)
@@ -337,7 +346,7 @@ def perturbed(model, polytope, i):
     if i % 3 == 0:
         alg, h = model.algebra, dict(model.h)
         h[alg.zero], h[alg.unit] = h[alg.unit], h[alg.zero]
-        model = replace(model, h=h)
+        model = model._replace(h=h)
     return model, poly
 
 

@@ -289,6 +289,12 @@ def test_chain2_forces_half():
     assert poly.vertices[0][alg.index("1/2")] == Fraction(1, 2)
 
 
+def test_polytope_is_immutable():
+    poly = enumerate_vertex_states(catalog.chain(2))
+    with pytest.raises(AttributeError):
+        poly.vertices = ()
+
+
 def test_bp2_two_dispersion_free_vertices():
     alg = catalog.boolean_powerset(2)
     poly = enumerate_vertex_states(alg)
