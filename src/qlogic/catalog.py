@@ -194,12 +194,12 @@ def _parse(text: str, depth: int = 1):
     rest = text[name_end:].lstrip()
     args = []
     if rest.startswith("("):
-        rest = rest[1:]
-        while True:
+        rest = rest[1:].lstrip()
+        more = not rest.startswith(")")
+        if not more:
+            rest = rest[1:]
+        while more:
             rest = rest.lstrip()
-            if rest.startswith(")"):
-                rest = rest[1:]
-                break
             if rest[:1].isdecimal():
                 num_end = 0
                 while num_end < len(rest) and rest[num_end].isdecimal():
@@ -215,8 +215,11 @@ def _parse(text: str, depth: int = 1):
                 sub, rest = _parse(rest, depth + 1)
                 args.append(sub)
             rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:]
+            if not rest:
+                raise BoundExceeded("catalog spec ended early")
+            if rest[0] not in ",)":
+                raise BoundExceeded(f"expected ',' or ')' in catalog spec at {rest!r}")
+            more, rest = rest[0] == ",", rest[1:]
     build, kind, arity = _CONSTRUCTORS[name]
     if not all(isinstance(arg, kind) for arg in args):
         expected = "integers" if kind is int else "algebras"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from itertools import product as iproduct
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -371,18 +370,14 @@ def verify_hidden_variable(
     """Check the lift conditions on every vertex state plus random mixtures.
 
     The state with integer weights w (a unit vector for a vertex) is the int
-    vector sum(w_i * L*V_i) at scale L*sum(w), L the vertices' common
-    denominator.  With no negative entry, one check covers all states:
-    state j is bits [j*width, (j+1)*width) of one int per element.  With k
-    vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L, largest
-    entry), and a lane holds twice that, so any value or sum of two fits its
-    lane.  A failure is rechecked per state.
+    vector sum(w_i * V_i) at scale L*sum(w), V_i = polytope.vertices[i] and
+    L = polytope.denominator.  With no negative entry, one check covers all
+    states: state j is bits [j*width, (j+1)*width) of one int per element.
+    With k vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L,
+    largest entry), and a lane holds twice that, so any value or sum of two
+    fits its lane.  A failure is rechecked per state.
     """
-    common = lcm(*(x.denominator for v in polytope.vertices for x in v))
-    vertices = [
-        [x.numerator * (common // x.denominator) for x in v]
-        for v in polytope.vertices
-    ]
+    den, vertices = polytope.denominator, polytope.vertices
     k = len(vertices)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     rng = random.Random(seed)
@@ -397,7 +392,7 @@ def verify_hidden_variable(
         columns = list(zip(*vertices))
         batches = [rows]
         if min(map(min, vertices)) >= 0:
-            top = max(common, *map(max, vertices))
+            top = max(den, *map(max, vertices))
             width = (2 * MAX_MIXTURE_WEIGHT * k * top).bit_length()
             packed = [sum(x << j * width for j, x in enumerate(c)) for c in zip(*rows)]
             batches.insert(0, [packed])
@@ -406,7 +401,7 @@ def verify_hidden_variable(
             for w in batch:
                 omega = [sum(map(mul, w, column)) for column in columns]
                 omega_bar = dict(zip(model.mv.elements, [omega[x] for x in lift]))
-                violations += check_lifted_state(model, omega, omega_bar, common * sum(w))
+                violations += check_lifted_state(model, omega, omega_bar, den * sum(w))
             if not violations:
                 break
     reflection = order_reflection_holds(model)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from . import __version__
@@ -33,6 +32,8 @@ def digest_file(path: str) -> tuple[str, bytes]:
     Reads at most MAX_INPUT_BYTES + 1 bytes, so an endless input ends the
     read too; ValueError if the file is larger than MAX_INPUT_BYTES.
     """
+    import hashlib  # here, so that commands reading no file do not load it
+
     with open(path, "rb") as handle:
         data = handle.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:

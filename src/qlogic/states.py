@@ -17,13 +17,13 @@ a homogenizing t, cut by one inequality per pivot atom (its weight is
 nonnegative).  Its extreme rays come from the double description method
 (Motzkin et al. 1953; Fukuda and Prodon 1996): primitive integer rays,
 refined one inequality at a time, combining only adjacent pairs.  Every
-extreme ray has t > 0 (the polytope is bounded) and is one vertex; the
-only Fractions made are the returned vertex coordinates.
+extreme ray has t > 0 (the polytope is bounded) and is one vertex.  The
+vertices stay integers too: one numerator row each, over the least
+denominator common to all of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -41,20 +41,20 @@ class StateCarrierTooLarge(AlgebraError):
 
 
 class StatePolytope(NamedTuple):
-    """Vertex states, each a tuple of Fractions indexed by ElementId."""
+    """Vertex states as sorted integer rows over their least common
+    denominator: vertex i is ``vertices[i][p] / denominator`` at ElementId p."""
 
-    vertices: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    vertices: tuple[tuple[int, ...], ...]
     affine_dimension: int
 
     def to_json_list(self, alg: FiniteEffectAlgebra) -> list[dict]:
+        # each value as its reduced fraction, so 0 reads 0/1
+        d = self.denominator
         return [
-            {alg.labels[p]: _fraction_str(v[p]) for p in alg.elements()}
+            dict(zip(alg.labels, (f"{x // (g := gcd(x, d))}/{d // g}" for x in v)))
             for v in self.vertices
         ]
-
-
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
@@ -116,7 +116,7 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
 
     # At the lcm L of the pivots, W = L * t * w is an integer on every atom.
     scale = lcm(*(row[col] for row, col in zip(base_rows, pivots)))
-    verts = []
+    values = []
     for ray in rays:
         w = [0] * m
         for f, x in zip(free, ray):
@@ -124,15 +124,15 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
         for row, col in zip(base_rows, pivots):
             s = row[-1] * ray[-1] - sum(row[f] * x for f, x in zip(free, ray))
             w[col] = scale // row[col] * s
-        unit = scale * ray[-1]
-        verts.append(
-            tuple(Fraction(sum(c * x for c, x in zip(d, w)), unit) for d in dec)
-        )
-    verts.sort()
+        # dec . W takes the value scale * t at the unit; made primitive, the
+        # unit's entry is the vertex's least denominator
+        values.append(_primitive([sum(c * x for c, x in zip(d, w)) for d in dec]))
+    denominator = lcm(*(v[alg.unit] for v in values))
+    verts = sorted(tuple(denominator // v[alg.unit] * x for x in v) for v in values)
     # w -> dec . w is injective (each atom's dec is a unit vector), so the
     # vertices span the same affine dimension as their rays, less one
     rank = len(_reduce([ray + (0,) for ray in rays])[1])
-    return StatePolytope(vertices=tuple(verts), affine_dimension=rank - 1)
+    return StatePolytope(denominator, tuple(verts), rank - 1)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -141,7 +141,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _reduce(rows) -> tuple[list[list[int]], list[int]] | None:
-    """Fraction-free Gauss-Jordan on augmented integer rows; None if inconsistent.
+    """Gauss-Jordan on augmented integer rows, fraction-free; None if inconsistent.
 
     Each row kept is primitive, has a positive pivot and is zero in the
     other rows' pivot columns.

@@ -344,6 +344,14 @@ def test_catalog_bad_spec(capsys):
         pytest.param(
             "chain(-1)", "cannot read catalog spec at '-1)'", id="negative-argument"
         ),
+        pytest.param(
+            "product(chain(2) chain(2))",
+            "expected ',' or ')' in catalog spec at 'chain(2))'",
+            id="missing-comma",
+        ),
+        pytest.param(
+            "mo(2,)", "cannot read catalog spec at ')'", id="trailing-comma"
+        ),
     ],
 )
 def test_catalog_spec_with_bad_arguments(capsys, spec, error):
@@ -779,10 +787,10 @@ LAYER_MODULES = {"qlogic.catalog", "qlogic.cloning", "qlogic.mv", "qlogic.states
     [
         (["validate", "{file}"], LAYER_MODULES),
         (["analyze", "{file}"], LAYER_MODULES),
-        (["states", "{file}"], {"qlogic.cloning", "qlogic.mv"}),
-        (["clone-search", "{file}", "--all"], set()),
-        (["hidden", "{file}"], set()),
-        (["catalog", "mo(2)"], set()),
+        (["states", "{file}"], {"qlogic.cloning", "qlogic.mv", "fractions"}),
+        (["clone-search", "{file}", "--all"], {"fractions"}),
+        (["hidden", "{file}"], {"fractions"}),
+        (["catalog", "mo(2)"], {"hashlib"}),
     ],
     ids=["validate", "analyze", "states", "clone-search", "hidden", "catalog"],
 )

@@ -29,6 +29,7 @@ from qlogic.mv import (
 )
 from qlogic.states import StatePolytope, enumerate_vertex_states
 from test_algebra import catalog_suite
+from test_states import fraction_vertices, integer_polytope
 
 
 def luka_chain(steps):
@@ -183,8 +184,7 @@ def test_hidden_variable_lift_matches_source():
     alg = catalog.boolean_powerset(2)
     witness = meet_witness(alg)
     model = hidden_variable_construct(alg, witness, atomic_decomposition(alg))
-    poly = enumerate_vertex_states(alg)
-    omega = list(poly.vertices[0])
+    omega = list(fraction_vertices(enumerate_vertex_states(alg))[0])
     omega_bar = lift_state(model, omega)
     assert check_lifted_state(model, omega, omega_bar) == []
 
@@ -193,8 +193,7 @@ def test_perturbed_lift_rejected():
     alg = catalog.boolean_powerset(2)
     witness = meet_witness(alg)
     model = hidden_variable_construct(alg, witness, atomic_decomposition(alg))
-    poly = enumerate_vertex_states(alg)
-    omega = list(poly.vertices[0])
+    omega = list(fraction_vertices(enumerate_vertex_states(alg))[0])
     omega_bar = lift_state(model, omega)
     key = model.h[alg.index("{1}")]
     omega_bar[key] = omega_bar[key] + Fraction(1, 7)
@@ -279,17 +278,16 @@ def fraction_verify_hidden_variable(
     and checked with check_lifted_state, with no common denominator.
     """
     violations = []
-    states = [list(v) for v in polytope.vertices]
+    vertices = fraction_vertices(polytope)
+    states = [list(v) for v in vertices]
     rng = random.Random(seed)
     n_mix = 0
-    if len(polytope.vertices) >= 1:
+    if len(vertices) >= 1:
         for _ in range(mixtures):
-            weights = [
-                Fraction(rng.randint(1, MAX_MIXTURE_WEIGHT)) for _ in polytope.vertices
-            ]
+            weights = [Fraction(rng.randint(1, MAX_MIXTURE_WEIGHT)) for _ in vertices]
             total = sum(weights)
             mixed = [
-                sum(w * v[p] for w, v in zip(weights, polytope.vertices)) / total
+                sum(w * v[p] for w, v in zip(weights, vertices)) / total
                 for p in model.algebra.elements()
             ]
             states.append(mixed)
@@ -338,11 +336,11 @@ def perturbed(model, polytope, i):
     """One vertex moved by +-1/3 at one element and by 1/2 at the next, so
     the common denominator (6) is not the largest one; every third model
     also swaps h at zero and the unit."""
-    vertices = [list(v) for v in polytope.vertices]
+    vertices = [list(v) for v in fraction_vertices(polytope)]
     v = vertices[i % len(vertices)]
     v[i % len(v)] += Fraction(1 if i % 2 else -1, 3)
     v[(i + 1) % len(v)] += Fraction(1, 2)
-    poly = StatePolytope(tuple(map(tuple, vertices)), polytope.affine_dimension)
+    poly = integer_polytope(vertices, polytope.affine_dimension)
     if i % 3 == 0:
         alg, h = model.algebra, dict(model.h)
         h[alg.zero], h[alg.unit] = h[alg.unit], h[alg.zero]
@@ -371,7 +369,7 @@ def test_integer_verification_matches_oracle_on_perturbed_polytopes(oracle_model
 def test_verification_without_vertices():
     alg = catalog.boolean_powerset(2)
     model = hidden_variable_construct(alg, meet_witness(alg), atomic_decomposition(alg))
-    empty = StatePolytope(vertices=(), affine_dimension=0)
+    empty = StatePolytope(denominator=1, vertices=(), affine_dimension=0)
     rep = verify_hidden_variable(model, empty)
     assert rep == fraction_verify_hidden_variable(model, empty)
     assert (rep.states_checked, rep.mixtures_checked, rep.violations) == (0, 0, ())
@@ -392,18 +390,18 @@ def boolean_models():
 
 def moved_vertices(poly, moves):
     """The polytope with moves[i] added to vertex i (a vector or None)."""
-    vertices = tuple(
+    vertices = [
         v if d is None else tuple(x + y for x, y in zip(v, d))
-        for v, d in zip(poly.vertices, moves + [None] * len(poly.vertices))
-    )
-    return StatePolytope(vertices, poly.affine_dimension)
+        for v, d in zip(fraction_vertices(poly), moves + [None] * len(poly.vertices))
+    ]
+    return integer_polytope(vertices, poly.affine_dimension)
 
 
 def test_verification_at_a_large_common_denominator():
     # every vertex moved 10**-12 of the way to the next is still a state
     den = 10**12
     for model, poly in boolean_models():
-        vs = poly.vertices
+        vs = fraction_vertices(poly)
         moves = [
             [(y - x) / den for x, y in zip(v, vs[(i + 1) % len(vs)])]
             for i, v in enumerate(vs)
@@ -433,7 +431,7 @@ def test_negative_vertex_entry_checked_state_by_state(mixtures):
     # 2*V0 - V1 is additive with value 1 at the unit, but negative where
     # V1 exceeds 2*V0
     for model, poly in boolean_models():
-        v0, v1 = poly.vertices[:2]
+        v0, v1 = fraction_vertices(poly)[:2]
         signed = moved_vertices(poly, [[x - y for x, y in zip(v0, v1)]])
         rep = verify_hidden_variable(model, signed, mixtures=mixtures)
         assert rep == fraction_verify_hidden_variable(model, signed, mixtures=mixtures)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -58,6 +59,19 @@ def _affine_dim(vertices):
     return len(reduced[1])
 
 
+def integer_polytope(vertices, affine_dimension):
+    """The StatePolytope of vertex states given as Fractions, in their order:
+    integer rows over the least common denominator."""
+    den = lcm(*(Fraction(x).denominator for v in vertices for x in v))
+    rows = tuple(tuple(int(x * den) for x in v) for v in vertices)
+    return StatePolytope(den, rows, affine_dimension)
+
+
+def fraction_vertices(poly):
+    """The vertex states of poly, each a tuple of Fractions."""
+    return [tuple(Fraction(x, poly.denominator) for x in v) for v in poly.vertices]
+
+
 def combinatorial_vertex_states(alg):
     """Oracle: the state polytope's vertices from every choice of zero atoms.
 
@@ -105,7 +119,7 @@ def combinatorial_vertex_states(alg):
             for w in weights
         )
     )
-    return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
+    return integer_polytope(verts, _affine_dim(verts))
 
 
 def state_constraints(alg):
@@ -165,7 +179,7 @@ def full_coordinate_vertex_states(alg):
     if not vertices:
         raise EmptyStateSpace("the state polytope is empty")
     verts = tuple(sorted(vertices))
-    return StatePolytope(vertices=verts, affine_dimension=_affine_dim(verts))
+    return integer_polytope(verts, _affine_dim(verts))
 
 
 def _polytope_or_message(enumerate_states, alg):
@@ -286,7 +300,7 @@ def test_chain2_forces_half():
     alg = catalog.chain(2)
     poly = enumerate_vertex_states(alg)
     assert len(poly.vertices) == 1
-    assert poly.vertices[0][alg.index("1/2")] == Fraction(1, 2)
+    assert fraction_vertices(poly)[0][alg.index("1/2")] == Fraction(1, 2)
 
 
 def test_polytope_is_immutable():
@@ -299,7 +313,7 @@ def test_bp2_two_dispersion_free_vertices():
     alg = catalog.boolean_powerset(2)
     poly = enumerate_vertex_states(alg)
     a, b = alg.index("{1}"), alg.index("{2}")
-    values = sorted((v[a], v[b]) for v in poly.vertices)
+    values = sorted((v[a], v[b]) for v in fraction_vertices(poly))
     assert values == [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
 
 
@@ -307,7 +321,7 @@ def test_mo2_four_vertices():
     alg = catalog.mo(2)
     poly = enumerate_vertex_states(alg)
     a, b = alg.index("a1"), alg.index("a2")
-    values = sorted((v[a], v[b]) for v in poly.vertices)
+    values = sorted((v[a], v[b]) for v in fraction_vertices(poly))
     # independent oracle: the polytope is a product of two segments
     assert values == [
         (Fraction(x), Fraction(y)) for x in (0, 1) for y in (0, 1)
@@ -320,7 +334,7 @@ def test_powerset_vertices_dispersion_free(k):
     poly = enumerate_vertex_states(alg)
     assert len(poly.vertices) == k
     assert poly.affine_dimension == k - 1
-    for v in poly.vertices:
+    for v in fraction_vertices(poly):
         assert all(x in (0, 1) for x in v)
 
 
@@ -331,7 +345,10 @@ def test_mo6_vertices_are_the_64_corners():
     poly = enumerate_vertex_states(alg)
     assert len(poly.vertices) == 64
     assert poly.affine_dimension == 6
-    corners = {tuple(v[alg.index(f"a{i}")] for i in range(1, 7)) for v in poly.vertices}
+    corners = {
+        tuple(v[alg.index(f"a{i}")] for i in range(1, 7))
+        for v in fraction_vertices(poly)
+    }
     assert corners == {
         tuple(Fraction(b >> i & 1) for i in range(6)) for b in range(64)
     }
@@ -376,7 +393,7 @@ def test_vertices_satisfy_constraints_exactly():
     for alg in full_catalog():
         poly = enumerate_vertex_states(alg)
         for v in poly.vertices:
-            assert check_state(alg, v) == []
+            assert check_state(alg, v, poly.denominator) == []
 
 
 def test_vertex_states_monotone():
@@ -390,7 +407,7 @@ def test_supplement_law():
     for alg in full_catalog():
         supp = derive_order(alg).supplement
         poly = enumerate_vertex_states(alg)
-        for v in poly.vertices:
+        for v in fraction_vertices(poly):
             for p in alg.elements():
                 assert v[supp[p]] == 1 - v[p]
 
@@ -406,7 +423,7 @@ def test_fuzz_states_well_formed():
     for alg in random_algebras(seed=303, count=25, max_size=9):
         poly = enumerate_vertex_states(alg)
         for v in poly.vertices:
-            assert check_state(alg, v) == []
+            assert check_state(alg, v, poly.denominator) == []
             assert monotone_under(alg, v)
 
 
@@ -421,6 +438,27 @@ def test_json_vertices_exact_fractions():
     poly = enumerate_vertex_states(alg)
     doc = poly.to_json_list(alg)
     assert doc == [{"0": "0/1", "1/2": "1/2", "1": "1/1"}]
+
+
+def test_json_fractions_over_the_least_denominator():
+    # each entry prints as Fraction(x, denominator) reduces, and no common
+    # factor is left over: the denominator is the least common one
+    suite = [alg for alg in catalog_suite() + full_catalog() if alg.size <= 32]
+    suite += random_algebras(seed=11, count=200)
+    denominators = set()
+    for alg in suite:
+        try:
+            poly = enumerate_vertex_states(alg)
+        except EmptyStateSpace:
+            continue
+        denominators.add(poly.denominator)
+        assert gcd(poly.denominator, *(x for v in poly.vertices for x in v)) == 1
+        expected = [
+            {alg.labels[p]: f"{f.numerator}/{f.denominator}" for p, f in enumerate(v)}
+            for v in fraction_vertices(poly)
+        ]
+        assert poly.to_json_list(alg) == expected, alg.labels
+    assert {2, 3, 4} <= denominators
 
 
 def scan_check_state(alg, values):
@@ -442,7 +480,7 @@ def scan_check_state(alg, values):
 def test_check_state_messages_match_table_scan():
     for alg in oracle_algebras():
         try:
-            vertices = enumerate_vertex_states(alg).vertices
+            vertices = fraction_vertices(enumerate_vertex_states(alg))
         except EmptyStateSpace:
             continue
         last_atom = derive_order(alg).atoms[-1]
