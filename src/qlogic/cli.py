@@ -207,6 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def budget(text: str) -> int:
+        # argparse turns the ValueError into "invalid budget value" and exit 2
+        value = int(text)
+        if value < 0:
+            raise ValueError(text)
+        return value
+
     def file_command(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="algebra JSON file")
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="enumerate all witnesses")
     # --budget and --seed default to None: the command fills them in from
     # cloning and mv, which building the parser does not import
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=budget, help="search node budget")
     file_command("states", cmd_states, "enumerate vertex states")
     p = file_command("hidden", cmd_hidden, "hidden-variable model construction")
     p.add_argument(
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inside (), {} or [] belong to a label",
     )
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, help="cloning search node budget")
+    p.add_argument("--budget", type=budget, help="cloning search node budget")
 
     p = sub.add_parser("catalog", help="emit a catalog algebra as JSON")
     p.add_argument("spec", help='constructor spec, e.g. "mo(2)" or "chain(3)"')

@@ -86,9 +86,13 @@ def find_cloning_bimorphism(
     constraints of the sum triples that contain r and the row-r constraints
     of those that contain c.  Each rule fills a cell with the one value its
     other two cells force, so the fixpoint does not depend on the order the
-    cells are taken in.  The root starts from the seeded unit and zero rows
-    and columns; a branch starts from its one new cell, because its parent
-    table is already at the fixpoint.
+    cells are taken in.  Sum triples that contain zero are left out: in
+    0 + x = x the x cell and the sum cell are one cell, and the zero cell is
+    seeded with 0, so such a rule can neither fill a cell nor fail.  Since
+    a + b = 0 forces a = b = 0, the zero row and column occur in no other
+    triple, so the root starts from the seeded unit row and column only; a
+    branch starts from its one new cell, because its parent table is
+    already at the fixpoint.
     """
     n = alg.size
     sumt = alg.table
@@ -99,27 +103,28 @@ def find_cloning_bimorphism(
     branch_cells = [(p, q) for p in order.atoms for q in order.atoms]
     touch: list[list[tuple[ElementId, ElementId, ElementId]]] = [[] for _ in range(n)]
     for triple in order.sums:
-        for x in set(triple):
-            touch[x].append(triple)
+        if alg.zero not in triple:
+            for x in set(triple):
+                touch[x].append(triple)
 
     def propagate(
         tab: list[list[ElementId | None]], work: list[tuple[ElementId, ElementId]]
     ) -> bool:
+        # the rule for a + b = s, in column c over rows a, b, s and in row r
+        # over columns a, b, s: with x, y, z the a, b, s cells, known x and y
+        # force z = x + y, known x (or y) and z force y = z - x (x = z - y),
+        # and an undefined sum or difference, or a z other than x + y, fails
         while work:
             r, c = work.pop()
-            constraints = [((a, c), (b, c), (s, c)) for a, b, s in touch[r]]
-            constraints += [((r, a), (r, b), (r, s)) for a, b, s in touch[c]]
-            for (ra, ca), (rb, cb), (rs, cs) in constraints:
-                x = tab[ra][ca]
-                y = tab[rb][cb]
-                z = tab[rs][cs]
+            for a, b, s in touch[r]:
+                x, y, z = tab[a][c], tab[b][c], tab[s][c]
                 if x is not None and y is not None:
                     w = sumt[x][y]
-                    if w is None:
-                        return False
                     if z is None:
-                        tab[rs][cs] = w
-                        work.append((rs, cs))
+                        if w is None:
+                            return False
+                        tab[s][c] = w
+                        work.append((s, c))
                     elif z != w:
                         return False
                 elif z is not None:
@@ -127,14 +132,39 @@ def find_cloning_bimorphism(
                         w = sub[x][z]
                         if w is None:
                             return False
-                        tab[rb][cb] = w
-                        work.append((rb, cb))
+                        tab[b][c] = w
+                        work.append((b, c))
                     elif y is not None:
                         w = sub[y][z]
                         if w is None:
                             return False
-                        tab[ra][ca] = w
-                        work.append((ra, ca))
+                        tab[a][c] = w
+                        work.append((a, c))
+            row = tab[r]
+            for a, b, s in touch[c]:
+                x, y, z = row[a], row[b], row[s]
+                if x is not None and y is not None:
+                    w = sumt[x][y]
+                    if z is None:
+                        if w is None:
+                            return False
+                        row[s] = w
+                        work.append((r, s))
+                    elif z != w:
+                        return False
+                elif z is not None:
+                    if x is not None:
+                        w = sub[x][z]
+                        if w is None:
+                            return False
+                        row[b] = w
+                        work.append((r, b))
+                    elif y is not None:
+                        w = sub[y][z]
+                        if w is None:
+                            return False
+                        row[a] = w
+                        work.append((r, a))
         return True
 
     seed: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
@@ -143,7 +173,7 @@ def find_cloning_bimorphism(
         seed[alg.unit][p] = p
         seed[p][alg.zero] = alg.zero
         seed[alg.zero][p] = alg.zero
-    seeded = [(p, q) for p in range(n) for q in range(n) if seed[p][q] is not None]
+    seeded = [(p, alg.unit) for p in range(n)] + [(alg.unit, q) for q in range(n)]
 
     witnesses: list[CloningWitness] = []
     nodes = 0

@@ -130,6 +130,17 @@ def test_hidden_budget_abort(capsys, bp2_file):
     assert last_json(out)["results"] == {"error": "cloning search aborted"}
 
 
+@pytest.mark.parametrize("budget", ["-1", "abc"])
+@pytest.mark.parametrize("command", ["clone-search", "hidden"])
+def test_budget_not_a_node_count_exits_2(capsys, bp2_file, command, budget):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, bp2_file, "--budget", budget, "--format", "json"])
+    assert exit_info.value.code == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --budget: invalid budget value: '{budget}'" in err
+
+
 def test_states(capsys, bp2_file):
     code, out = run(capsys, "states", bp2_file, "--format", "json")
     assert code == EXIT_OK

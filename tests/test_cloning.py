@@ -352,7 +352,9 @@ def rescan_search(alg, enumerate_all=False, node_budget=DEFAULT_NODE_BUDGET):
     """Oracle: the search with full-rescan propagation.
 
     Every pass re-checks every sum triple in every row and column until a
-    pass changes nothing.  Returns (status, nodes explored, witness tables).
+    pass changes nothing.  That includes the triples 0 + x = x, which the
+    search leaves out as unable to fire, so the oracle does not rest on
+    that argument.  Returns (status, nodes explored, witness tables).
     """
     n = alg.size
     sumt = alg.table

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -15,6 +16,7 @@ from qlogic.mv import (
     ConstructionFailed,
     FiniteMV,
     HiddenVariableReport,
+    MVReport,
     SampledMV,
     chain_interval,
     check_lifted_state,
@@ -460,6 +462,72 @@ def expected_mv_failures(mv):
                 if plus(plus(a, b), c) != plus(a, plus(b, c)):
                     found.add(f"associativity fails on ({a}, {b}, {c})")
     return found
+
+
+def scalar_mv_report(mv):
+    """Oracle: the exhaustive MV check on the element values themselves,
+    with one plus or neg call per operation and no index tables."""
+    plus, neg, zero, one, elems = mv.plus, mv.neg, mv.zero, mv.one, mv.elements
+    violations = [] if neg(zero) == one else ["0' != 1"]
+    for a in elems:
+        if plus(a, neg(a)) != one:
+            violations.append(f"a + a' != 1 at {a}")
+        if plus(a, zero) != a:
+            violations.append(f"a + 0 != a at {a}")
+        if neg(neg(a)) != a:
+            violations.append(f"a'' != a at {a}")
+        if plus(a, one) != one:
+            violations.append(f"a + 1 != 1 at {a}")
+    for a, b in iproduct(elems, repeat=2):
+        if plus(a, b) != plus(b, a):
+            violations.append(f"commutativity fails on ({a}, {b})")
+        if plus(neg(plus(neg(a), b)), b) != plus(neg(plus(a, neg(b))), a):
+            violations.append(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
+    for a, b, c in iproduct(elems, repeat=3):
+        if plus(plus(a, b), c) != plus(a, plus(b, c)):
+            violations.append(f"associativity fails on ({a}, {b}, {c})")
+    return MVReport(
+        passed=not violations,
+        mode="exhaustive",
+        triples_checked=len(elems) ** 3,
+        violations=tuple(violations),
+    )
+
+
+def one_cell_changed(mv, i):
+    """Copies of mv with one plus_map cell, then one neg_map entry, moved
+    to the next element in carrier order; i picks the cell and the entry."""
+    elems = mv.elements
+    n = len(elems)
+    nxt = {a: elems[(k + 1) % n] for k, a in enumerate(elems)}
+    plus_map = dict(mv.plus_map)
+    cell = (elems[i % n], elems[(3 * i + 1) % n])
+    plus_map[cell] = nxt[plus_map[cell]]
+    neg_map = dict(mv.neg_map)
+    a = elems[(5 * i) % n]
+    neg_map[a] = nxt[neg_map[a]]
+    return [
+        FiniteMV(elems, plus_map, mv.neg_map, mv.zero, mv.one),
+        FiniteMV(elems, mv.plus_map, neg_map, mv.zero, mv.one),
+    ]
+
+
+def test_index_table_mv_check_matches_scalar_oracle(oracle_models):
+    kinds = (
+        "0' != 1", "a + a' != 1", "a + 0 != a", "a'' != a", "a + 1 != 1",
+        "commutativity", "(a'+b)'+b", "associativity",
+    )
+    seen = set()
+    for i, (model, _) in enumerate(oracle_models):
+        rep = check_mv_axioms(model.mv)
+        assert rep.passed
+        assert rep == scalar_mv_report(model.mv)
+        for bad in one_cell_changed(model.mv, i):
+            rep = check_mv_axioms(bad)
+            assert not rep.passed
+            assert rep == scalar_mv_report(bad)
+            seen.update(k for k in kinds for v in rep.violations if v.startswith(k))
+    assert seen == set(kinds)
 
 
 @pytest.mark.parametrize("broken", ("neg", "plus"))
