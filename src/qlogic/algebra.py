@@ -180,17 +180,27 @@ def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
     if zero not in pos or unit not in pos:
         raise MalformedTable("zero/unit index out of range")
     labels = tuple(label(e) for e in elements)
-    _check_structure(labels, labels[pos[zero]], labels[pos[unit]])
-    table = []
-    for a in elements:
-        row = []
+
+    def row(a):
+        out = []
         for b in elements:
             c = plus(a, b)
             if c is not None and c not in pos:
                 raise MalformedTable(f"{label(a)}(+){label(b)} = {c!r}, not an element")
-            row.append(None if c is None else pos[c])
-        table.append(row)
-    return _validate_checked(labels, pos[zero], pos[unit], table)
+            out.append(None if c is None else pos[c])
+        return out
+
+    return from_table(labels, pos[zero], pos[unit], map(row, elements))
+
+
+def from_table(labels, zero: ElementId, unit: ElementId, rows) -> FiniteEffectAlgebra:
+    """Build and validate an algebra from the rows of its sum table: row p
+    holds the ElementId of p + q at q, or None where the sum is undefined.
+
+    The rows are read only once the carrier passes its structure checks.
+    """
+    _check_structure(labels, labels[zero], labels[unit])
+    return _validate_checked(labels, zero, unit, list(rows))
 
 
 def from_json_dict(doc: dict) -> FiniteEffectAlgebra:

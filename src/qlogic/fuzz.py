@@ -51,6 +51,11 @@ def shuffle_carrier(
 
 def random_algebra(rng: random.Random, max_size: int = 10) -> FiniteEffectAlgebra:
     """One random valid algebra with at most max_size elements."""
+    if max_size < 2:
+        # refused before any draw
+        raise ValueError(
+            f"max_size must be at least 2, the smallest algebra's size; got {max_size}"
+        )
     while True:
         alg = _random_spec(rng, max_size)
         if alg is not None:

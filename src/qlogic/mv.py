@@ -10,8 +10,10 @@ rows at the parts give the embedding h.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import product as iproduct
 from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import (
@@ -19,14 +21,15 @@ from .algebra import (
     ElementId,
     FiniteEffectAlgebra,
     derive_order,
+    from_table,
     is_sharp,
-    tabulate,
 )
 from .cloning import CloningWitness, verify_witness
 from .states import StatePolytope, check_state
 
 DEFAULT_SEED = 20260823
-# verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT
+# verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT and
+# packs each into one byte, so it must stay below 256
 MAX_MIXTURE_WEIGHT = 12
 
 
@@ -38,24 +41,35 @@ class FiniteMV:
     """A finite MV carrier with explicit operation tables.
 
     Elements may be any hashable values (interval ElementIds, tuples, ...).
+    The maps are copied into read-only views, so the index tables built from
+    them cannot go stale.
     """
 
     def __init__(self, elements, plus_map, neg_map, zero, one):
         self.elements = tuple(elements)
-        self.plus_map = plus_map
-        self.neg_map = neg_map
+        self.plus_map = MappingProxyType(dict(plus_map))
+        self.neg_map = MappingProxyType(dict(neg_map))
         self.zero = zero
         self.one = one
+
+    @cached_property
+    def tables(self):
+        """(index, P, N): index[a] numbers the (distinct) elements, P[i][j]
+        is the index of elems[i] + elems[j] and N[i] that of elems[i]'."""
+        elems = self.elements
+        index = {a: i for i, a in enumerate(elems)}
+        sums = map(self.plus_map.__getitem__, iproduct(elems, repeat=2))
+        flat = list(map(index.__getitem__, sums))
+        n = len(elems)
+        P = [flat[i : i + n] for i in range(0, n * n, n)]
+        N = [index[self.neg_map[a]] for a in elems]
+        return index, P, N
 
     def plus(self, a, b):
         return self.plus_map[(a, b)]
 
     def neg(self, a):
         return self.neg_map[a]
-
-    def leq(self, a, b) -> bool:
-        # the MV order: a <= b iff a' + b = 1
-        return self.plus(self.neg(a), b) == self.one
 
 
 class SampledMV:
@@ -83,21 +97,18 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
 
     Each instance is checked once, in the order: 0' = 1, the one-variable
     identities per element, commutativity and the Lukasiewicz identity per
-    pair, associativity per triple.  Exhaustive mode numbers the (distinct)
-    elements and checks on index tables, P[i][j] the index of
-    elems[i] + elems[j] and N[i] that of elems[i]', built with one plus
-    call per pair; associativity compares the row P[P[i][j]] with a + (b +
-    c) for all c at once and walks c only in a row that differs.  Sampled
-    mode takes its elements and pairs from the first components of the
-    sampled triples.
+    pair, associativity per triple.  Exhaustive mode checks on the carrier's
+    index tables (FiniteMV.tables, built once per carrier and shared with
+    effect_algebra_of_mv and order_reflection_holds); associativity compares
+    the row P[P[i][j]] with a + (b + c) for all c at once and walks c only
+    in a row that differs.  Sampled mode takes its elements and pairs from
+    the first components of the sampled triples.
     """
     plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
     violations = [] if neg(zero) == one else ["0' != 1"]
     if carrier.elements is not None:
         elems = carrier.elements
-        index = {a: i for i, a in enumerate(elems)}
-        P = [[index[plus(a, b)] for b in elems] for a in elems]
-        N = [index[neg(a)] for a in elems]
+        index, P, N = carrier.tables
         Z, U = index[zero], index[one]
         for i, a in enumerate(elems):
             if P[i][N[i]] != U:
@@ -160,12 +171,15 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
 
 
 def effect_algebra_of_mv(mv: FiniteMV) -> FiniteEffectAlgebra:
-    """The induced effect algebra: a + b kept only when a <= b' in the MV order."""
-
-    def plus(a, b):
-        return mv.plus(a, b) if mv.leq(a, mv.neg(b)) else None
-
-    return tabulate(mv.elements, mv.zero, mv.one, plus, label=str)
+    """The induced effect algebra: a + b kept only when a <= b' in the MV
+    order, that is when a' + b' = 1."""
+    index, P, N = mv.tables
+    U = index[mv.one]
+    table = [
+        [s if negs[nb] == U else None for s, nb in zip(row, N)]
+        for row, negs in zip(P, [P[na] for na in N])
+    ]
+    return from_table(tuple(map(str, mv.elements)), index[mv.zero], U, table)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +272,14 @@ def interval_mv(alg: FiniteEffectAlgebra, p: ElementId) -> FiniteMV:
 
 def product_mv(components: list[FiniteMV]) -> FiniteMV:
     elements = tuple(iproduct(*(c.elements for c in components)))
-    plus_map = {}
-    for a in elements:
-        for b in elements:
-            plus_map[(a, b)] = tuple(
-                c.plus(x, y) for c, x, y in zip(components, a, b)
-            )
+    # iproduct(coords, repeat=2) runs over the k-th coordinates of the pairs
+    # of iproduct(elements, repeat=2) in step, so column k holds component
+    # k's share of each pair's sum
+    columns = [
+        map(c.plus_map.__getitem__, iproduct(coords, repeat=2))
+        for c, coords in zip(components, zip(*elements))
+    ]
+    plus_map = dict(zip(iproduct(elements, repeat=2), zip(*columns)))
     neg_map = {a: tuple(c.neg(x) for c, x in zip(components, a)) for a in elements}
     return FiniteMV(
         elements=elements,
@@ -305,9 +321,9 @@ def hidden_variable_construct(
     h = {
         x: tuple(witness.table[p][x] for p in parts) for x in alg.elements()
     }
-    mv_elems = set(mv.elements)
+    index = mv.tables[0]
     for x, img in h.items():
-        if img not in mv_elems:
+        if img not in index:
             raise ConstructionFailed(
                 f"h({alg.labels[x]}) leaves the product carrier"
             )
@@ -332,13 +348,15 @@ def order_reflection_holds(model: HiddenVariableModel) -> bool:
     """x <= y' in the source iff h(x) <= h(y)' in the MV order, exhaustively."""
     alg = model.algebra
     order = derive_order(alg)
-    mv, h = model.mv, model.h
-    for x in alg.elements():
-        for y in alg.elements():
-            src = order.leq[x][order.supplement[y]]
-            tgt = mv.leq(h[x], mv.neg(h[y]))
-            if src != tgt:
-                return False
+    index, P, N = model.mv.tables
+    U = index[model.mv.one]
+    # the indices of h(y)', y in carrier order
+    neg_h = [N[index[model.h[y]]] for y in alg.elements()]
+    for x, nx in enumerate(neg_h):
+        # h(x) <= h(y)' iff h(x)' + h(y)' = 1
+        row = P[nx]
+        if [row[j] == U for j in neg_h] != [order.leq[x][s] for s in order.supplement]:
+            return False
     return True
 
 
@@ -383,6 +401,19 @@ def check_lifted_state(
     return violations
 
 
+def _mixture_weights(seed: int, count: int) -> list[int]:
+    """The first count draws of random.Random(seed).randint(1,
+    MAX_MIXTURE_WEIGHT), taken the way randint takes them: getrandbits of
+    the weight's bit length, redrawn while out of range."""
+    rng = random.Random(seed)
+    bits = MAX_MIXTURE_WEIGHT.bit_length()
+    weights: list[int] = []
+    while len(weights) < count:
+        draws = map(rng.getrandbits, [bits] * (count - len(weights)))
+        weights += [r + 1 for r in draws if r < MAX_MIXTURE_WEIGHT]
+    return weights
+
+
 class HiddenVariableReport(NamedTuple):
     passed: bool
     states_checked: int
@@ -406,21 +437,20 @@ def verify_hidden_variable(
 
     The state with integer weights w (a unit vector for a vertex) is the int
     vector sum(w_i * V_i) at scale L*sum(w), V_i = polytope.vertices[i] and
-    L = polytope.denominator.  With no negative entry, one check covers all
-    states: state j is bits [j*width, (j+1)*width) of one int per element.
-    With k vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L,
-    largest entry), and a lane holds twice that, so any value or sum of two
+    L = polytope.denominator.  The weights are the same draws as
+    random.Random(seed).randint(1, MAX_MIXTURE_WEIGHT) gives, row by row.
+    With no negative entry, one check covers all states: state j is lane j
+    of one int per element, a lane being a whole number of bytes.  With k
+    vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L, largest
+    entry), and a lane holds at least twice that, so any value or sum of two
     fits its lane.  A failure is rechecked per state.
     """
     den, vertices = polytope.denominator, polytope.vertices
     k = len(vertices)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
-    rng = random.Random(seed)
     if vertices:
-        rows += [
-            [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in vertices]
-            for _ in range(mixtures)
-        ]
+        weights = _mixture_weights(seed, k * mixtures)
+        rows += [weights[i : i + k] for i in range(0, k * mixtures, k)]
     violations: list[str] = []
     if rows:
         lift = _lift_index(model)
@@ -428,8 +458,12 @@ def verify_hidden_variable(
         batches = [rows]
         if min(map(min, vertices)) >= 0:
             top = max(den, *map(max, vertices))
-            width = (2 * MAX_MIXTURE_WEIGHT * k * top).bit_length()
-            packed = [sum(x << j * width for j, x in enumerate(c)) for c in zip(*rows)]
+            nbytes = ((2 * MAX_MIXTURE_WEIGHT * k * top).bit_length() + 7) // 8
+            lanes = bytearray(nbytes * len(rows))
+            packed = []
+            for column in zip(*rows):
+                lanes[::nbytes] = bytes(column)
+                packed.append(int.from_bytes(lanes, "little"))
             batches.insert(0, [packed])
         for batch in batches:
             violations = []

@@ -8,7 +8,9 @@ of x.  The state polytope is therefore the polytope of atom weights w >= 0
 (nonnegativity on atoms gives it everywhere, since ``dec >= 0``) with
 ``(dec[a] + dec[b] - dec[c]) . w = 0`` for every ``a + b = c`` and
 ``dec[1] . w = 1`` (Greechie's atom-weight view of states), mapped onto the
-element-coordinate polytope by w -> dec . w.
+element-coordinate polytope by w -> dec . w.  That map is taken along the
+atom walk that found the decompositions, with no dot products: each
+``y = x + atoms[i]`` on the walk gives ``v[y] = v[x] + w[i]``.
 
 That equality system is reduced once, by fraction-free Gauss-Jordan
 elimination on integers, which solves each pivot atom's weight for the free
@@ -24,7 +26,9 @@ denominator common to all of them.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd, lcm
+from operator import add, sub
 from typing import NamedTuple
 
 from .algebra import AlgebraError, ElementId, FiniteEffectAlgebra, derive_order
@@ -57,16 +61,23 @@ class StatePolytope(NamedTuple):
         ]
 
 
-def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
-    """``dec[x]``: atom multiplicities of one decomposition of x into atoms.
+def atom_decompositions(
+    alg: FiniteEffectAlgebra,
+) -> tuple[list[tuple[int, ...]], list[tuple[ElementId, ElementId, int]]]:
+    """``(dec, walk)``: the atom multiplicities ``dec[x]`` of one
+    decomposition of each x into atoms, and the walk that found them.
 
     Walks up from zero adding one atom at a time; ``dec[x][i]`` counts
     ``atoms[i]``.  Every element is reached: a nonzero x lies above some atom
-    a, and x = (x - a) + a with x - a strictly below x.
+    a, and x = (x - a) + a with x - a strictly below x.  The walk lists
+    ``(y, x, i)`` for each y first reached as ``x + atoms[i]``, in the order
+    reached, so x is zero or an earlier y and ``dec[y]`` is ``dec[x]`` plus
+    one ``atoms[i]``.
     """
     atoms = derive_order(alg).atoms
     dec: list[tuple[int, ...] | None] = [None] * alg.size
     dec[alg.zero] = (0,) * len(atoms)
+    walk = []
     frontier = [alg.zero]
     while frontier:
         reached = []
@@ -75,9 +86,10 @@ def atom_decompositions(alg: FiniteEffectAlgebra) -> list[tuple[int, ...]]:
                 y = alg.table[x][a]
                 if y is not None and dec[y] is None:
                     dec[y] = dec[x][:i] + (dec[x][i] + 1,) + dec[x][i + 1 :]
+                    walk.append((y, x, i))
                     reached.append(y)
         frontier = reached
-    return dec
+    return dec, walk
 
 
 def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
@@ -91,11 +103,11 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
             f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
             f"elements, got {alg.size}"
         )
-    dec = atom_decompositions(alg)
+    dec, walk = atom_decompositions(alg)
     m = len(dec[alg.zero])
     rows = {dec[alg.unit] + (1,)}
     for a, b, c in derive_order(alg).sums:
-        row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
+        row = tuple(map(sub, map(add, dec[a], dec[b]), dec[c]))
         if any(row):
             rows.add(row + (0,))
     reduced = _reduce(rows)
@@ -124,9 +136,13 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
         for row, col in zip(base_rows, pivots):
             s = row[-1] * ray[-1] - sum(row[f] * x for f, x in zip(free, ray))
             w[col] = scale // row[col] * s
-        # dec . W takes the value scale * t at the unit; made primitive, the
-        # unit's entry is the vertex's least denominator
-        values.append(_primitive([sum(c * x for c, x in zip(d, w)) for d in dec]))
+        # v = dec . W along the atom walk; it takes the value scale * t at
+        # the unit, and made primitive, the unit's entry is the vertex's
+        # least denominator
+        v = [0] * alg.size
+        for y, x, i in walk:
+            v[y] = v[x] + w[i]
+        values.append(_primitive(v))
     denominator = lcm(*(v[alg.unit] for v in values))
     verts = sorted(tuple(denominator // v[alg.unit] * x for x in v) for v in values)
     # w -> dec . w is injective (each atom's dec is a unit vector), so the
@@ -218,11 +234,11 @@ def is_separating(
 
     Sufficient for all states: every state is a convex mixture of vertices.
     """
-    merged = []
-    for p in alg.elements():
-        for q in range(p + 1, alg.size):
-            if all(v[p] == v[q] for v in polytope.vertices):
-                merged.append((p, q))
+    # element p's values on all vertices; with no vertex, every pair merges
+    columns = list(zip(*polytope.vertices)) or [()] * alg.size
+    merged = [
+        (p, q) for p, q in combinations(alg.elements(), 2) if columns[p] == columns[q]
+    ]
     return not merged, merged
 
 

@@ -37,7 +37,7 @@ from qlogic.algebra import (
     tabulate,
     validate,
 )
-from qlogic.fuzz import random_algebras, shuffle_carrier
+from qlogic.fuzz import random_algebra, random_algebras, shuffle_carrier
 from qlogic.mv import find_chain_decomposition
 
 
@@ -364,6 +364,21 @@ def test_structure_report_flags_consistent():
 
 def fuzz_suite():
     return random_algebras(seed=101, count=40, max_size=10)
+
+
+@pytest.mark.parametrize("max_size", (1, 0, -3))
+def test_fuzz_refuses_a_size_cap_below_two(max_size):
+    with pytest.raises(ValueError, match="max_size must be at least 2"):
+        random_algebras(seed=1, count=3, max_size=max_size)
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="max_size must be at least 2"):
+        random_algebra(rng, max_size)
+    assert rng.getstate() == state  # refused before any draw
+
+
+def test_fuzz_at_the_smallest_size_cap():
+    assert [alg.size for alg in random_algebras(seed=1, count=20, max_size=2)] == [2] * 20
 
 
 def test_cancellativity():

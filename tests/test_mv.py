@@ -18,6 +18,7 @@ from qlogic.mv import (
     HiddenVariableReport,
     MVReport,
     SampledMV,
+    _mixture_weights,
     chain_interval,
     check_lifted_state,
     check_mv_axioms,
@@ -271,13 +272,27 @@ def test_construction_serialization():
     assert all(len(img) == 2 for img in doc["h"].values())
 
 
+def scalar_order_reflection(model):
+    """Oracle: order reflection with mv.plus and mv.neg calls per pair;
+    h(x) <= h(y)' in the MV order iff h(x)' + h(y)' = 1."""
+    alg, mv, h = model.algebra, model.mv, model.h
+    order = derive_order(alg)
+    return all(
+        order.leq[x][order.supplement[y]]
+        == (mv.plus(mv.neg(h[x]), mv.neg(h[y])) == mv.one)
+        for x in alg.elements()
+        for y in alg.elements()
+    )
+
+
 def fraction_verify_hidden_variable(
     model, polytope, mixtures=100, seed=DEFAULT_SEED
 ):
     """Oracle: verify_hidden_variable over Fractions, one lift per state.
 
     Each mixture is divided out to a Fraction state, lifted with lift_state
-    and checked with check_lifted_state, with no common denominator.
+    and checked with check_lifted_state, with no common denominator.  The
+    weights come from randint and order reflection from the scalar oracle.
     """
     violations = []
     vertices = fraction_vertices(polytope)
@@ -297,7 +312,7 @@ def fraction_verify_hidden_variable(
     for omega in states:
         omega_bar = lift_state(model, omega)
         violations.extend(check_lifted_state(model, omega, omega_bar))
-    reflection = order_reflection_holds(model)
+    reflection = scalar_order_reflection(model)
     if not reflection:
         violations.append("order reflection of h fails")
     return HiddenVariableReport(
@@ -550,3 +565,62 @@ def test_each_failing_mv_instance_reported_once(broken):
     assert (rep.mode, rep.triples_checked, rep.seed) == ("sampled", 1000, DEFAULT_SEED)
     assert len(set(rep.violations)) == len(rep.violations)
     assert set(rep.violations) == expected
+
+
+@pytest.mark.parametrize("seed", (DEFAULT_SEED, 0, 1, 7, -7, 2**70))
+def test_mixture_weights_are_the_randint_draws(seed):
+    rng = random.Random(seed)
+    expected = [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(12_000)]
+    assert _mixture_weights(seed, 12_000) == expected
+    assert _mixture_weights(seed, 5) == expected[:5]
+    assert _mixture_weights(seed, 0) == []
+
+
+def with_h_swapped(model, i):
+    """The model with the h images of two distinct elements swapped; i picks them."""
+    n = model.algebra.size
+    x = i % n
+    y = (x + 1 + i % (n - 1)) % n
+    h = dict(model.h)
+    h[x], h[y] = h[y], h[x]
+    return model._replace(h=h)
+
+
+def test_order_reflection_matches_scalar_oracle(oracle_models):
+    outcomes = set()
+    for i, (model, _) in enumerate(oracle_models):
+        assert order_reflection_holds(model)
+        assert scalar_order_reflection(model)
+        swapped = with_h_swapped(model, i)
+        holds = order_reflection_holds(swapped)
+        assert holds == scalar_order_reflection(swapped)
+        outcomes.add(holds)
+    assert outcomes == {True, False}
+
+
+def test_mv_maps_are_read_only():
+    mv = luka_chain(2)
+    a = mv.elements[1]
+    with pytest.raises(TypeError):
+        mv.plus_map[(a, a)] = mv.zero
+    with pytest.raises(TypeError):
+        mv.neg_map[a] = mv.zero
+    # the carrier keeps a copy: changing the dict it was built from is not seen
+    plus = dict(mv.plus_map)
+    copy = FiniteMV(mv.elements, plus, mv.neg_map, mv.zero, mv.one)
+    plus[(a, a)] = mv.zero
+    assert copy.plus(a, a) == mv.one
+
+
+def test_changed_copies_get_their_own_tables(oracle_models):
+    for i, (model, _) in enumerate(oracle_models):
+        mv = model.mv
+        tables = mv.tables
+        for bad in one_cell_changed(mv, i):
+            index, P, N = bad.tables
+            assert (P, N) != tables[1:]
+            assert index == tables[0]
+            for (a, b), s in bad.plus_map.items():
+                assert P[index[a]][index[b]] == index[s]
+            assert N == [index[bad.neg(a)] for a in bad.elements]
+        assert mv.tables is tables

@@ -80,7 +80,7 @@ def combinatorial_vertex_states(alg):
     free atoms still nonzero, solved with one RREF and mapped back to all
     elements.  It costs C(#atoms, k) eliminations.
     """
-    dec = atom_decompositions(alg)
+    dec, _ = atom_decompositions(alg)
     m = len(dec[alg.zero])
     rows = {dec[alg.unit] + (1,)}
     for a, b, c in derive_order(alg).sums:
@@ -289,11 +289,93 @@ def test_stateless_pastings(monkeypatch, build, message):
 def test_every_element_has_an_atom_decomposition():
     for alg in oracle_algebras():
         atoms = derive_order(alg).atoms
-        dec = atom_decompositions(alg)
+        dec, walk = atom_decompositions(alg)
         assert None not in dec, alg.labels
         assert dec[alg.zero] == (0,) * len(atoms)
         for i, a in enumerate(atoms):
             assert dec[a] == tuple(int(j == i) for j in range(len(atoms)))
+        # the walk reaches each nonzero element once, from zero or an
+        # element it reached earlier, adding the atom it names
+        reached = [alg.zero]
+        for y, x, i in walk:
+            assert x in reached and alg.table[x][atoms[i]] == y
+            assert dec[y] == tuple(d + (j == i) for j, d in enumerate(dec[x]))
+            reached.append(y)
+        assert sorted(reached) == list(alg.elements())
+
+
+def dot_product_vertex_states(alg):
+    """Oracle: enumerate_vertex_states with each vertex coordinate taken as
+    the dot product dec[x] . W of the atom decomposition and the atom
+    weights, as before the atom walk replaced it."""
+    dec, _ = atom_decompositions(alg)
+    m = len(dec[alg.zero])
+    rows = {dec[alg.unit] + (1,)}
+    for a, b, c in derive_order(alg).sums:
+        row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
+        if any(row):
+            rows.add(row + (0,))
+    reduced = states._reduce(rows)
+    if reduced is None:
+        raise EmptyStateSpace("the additivity constraints are inconsistent")
+    base_rows, pivots = reduced
+    free = [col for col in range(m) if col not in pivots]
+    rays = states._extreme_rays(
+        len(free) + 1, [[-row[f] for f in free] + [row[-1]] for row in base_rows]
+    )
+    if not rays:
+        raise EmptyStateSpace("the state polytope is empty")
+    scale = lcm(*(row[col] for row, col in zip(base_rows, pivots)))
+    values = []
+    for ray in rays:
+        w = [0] * m
+        for f, x in zip(free, ray):
+            w[f] = scale * x
+        for row, col in zip(base_rows, pivots):
+            s = row[-1] * ray[-1] - sum(row[f] * x for f, x in zip(free, ray))
+            w[col] = scale // row[col] * s
+        values.append(states._primitive([sum(c * x for c, x in zip(d, w)) for d in dec]))
+    denominator = lcm(*(v[alg.unit] for v in values))
+    verts = sorted(tuple(denominator // v[alg.unit] * x for x in v) for v in values)
+    rank = len(states._reduce([ray + (0,) for ray in rays])[1])
+    return StatePolytope(denominator, tuple(verts), rank - 1)
+
+
+def pairwise_separating(alg, poly):
+    """Oracle: is_separating with one pass over the vertices per pair."""
+    merged = []
+    for p in alg.elements():
+        for q in range(p + 1, alg.size):
+            if all(v[p] == v[q] for v in poly.vertices):
+                merged.append((p, q))
+    return not merged, merged
+
+
+def replaced_path_algebras():
+    suite = catalog_suite() + [grid(3, 3), complete_quadrilateral()]
+    for seed in (1, 7, 202):
+        suite += random_algebras(seed=seed, count=100)
+    return suite
+
+
+def test_walk_coordinates_match_dot_product_oracle():
+    for alg in replaced_path_algebras():
+        assert _polytope_or_message(enumerate_vertex_states, alg) == (
+            _polytope_or_message(dot_product_vertex_states, alg)
+        ), alg.labels
+
+
+def test_column_separation_matches_pairwise_oracle():
+    outcomes = set()
+    no_vertices = StatePolytope(1, (), 0)
+    for alg in replaced_path_algebras():
+        for poly in (enumerate_vertex_states(alg), no_vertices):
+            separating, merged = is_separating(alg, poly)
+            assert (separating, merged) == pairwise_separating(alg, poly)
+            outcomes.add((separating, poly is no_vertices))
+    # a separating and a non-separating algebra (the complete
+    # quadrilateral), and the empty polytope, which merges every pair
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_chain2_forces_half():

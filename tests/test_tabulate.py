@@ -23,10 +23,10 @@ from qlogic.algebra import (
 )
 from qlogic.cloning import find_cloning_bimorphism
 from qlogic.divisible import indicator, indicator_algebra, pointwise_sum
-from qlogic.fuzz import shuffle_carrier
+from qlogic.fuzz import random_algebras, shuffle_carrier
 from qlogic.mv import effect_algebra_of_mv, hidden_variable_construct
 from test_algebra import catalog_suite
-from test_mv import luka_chain
+from test_mv import hidden_variable_models, luka_chain
 
 
 def fields(alg):
@@ -104,7 +104,8 @@ def mv_by_triples(mv):
         [pos[a], pos[b], pos[mv.plus(a, b)]]
         for a in mv.elements
         for b in mv.elements
-        if mv.leq(a, mv.neg(b))
+        # a <= b' in the MV order: a' + b' = 1
+        if mv.plus(mv.neg(a), mv.neg(b)) == mv.one
     ]
     return validate(labels, pos[mv.zero], pos[mv.one], sums)
 
@@ -167,6 +168,11 @@ def hidden_variable_mv(k):
 def test_effect_algebra_of_mv_matches_label_triples():
     mvs = [luka_chain(steps) for steps in range(1, 5)]
     mvs += [hidden_variable_mv(k) for k in range(1, 4)]
+    # the product carriers of the fuzz algebras' hidden-variable models
+    for seed in (1, 7, 202):
+        fuzz = hidden_variable_models(random_algebras(seed, 400), limit=100)
+        assert len(fuzz) == 100
+        mvs += [model.mv for model, _ in fuzz]
     for mv in mvs:
         assert fields(effect_algebra_of_mv(mv)) == fields(mv_by_triples(mv))
 
