@@ -2,7 +2,9 @@
 
 The carrier is a list of labelled elements and the partial binary sum is a
 square table with ``None`` marking undefined entries.  Validation checks the
-four effect-algebra axioms by full exhaustion.  The order, supplements,
+four effect-algebra axioms by full exhaustion, comparing whole rows where it
+can (the table against its transpose, a count of unit entries per row); the
+scalar loops run only to name the first violation.  The order, supplements,
 atoms, differences, meets, joins, incompatible pairs and defined sums are
 then derived in one pass over the table, on first use, into one record kept
 on the algebra instance (``derive_order``); coherence and Boolean-ness are
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain, product, starmap
+from operator import and_, is_not
 from typing import NamedTuple
 
 ElementId = int
@@ -156,16 +160,19 @@ def validate(elements, zero: str, unit: str, sums) -> FiniteEffectAlgebra:
         if len(triple) != 3:
             raise MalformedTable(f"sum entry {triple!r} is not an [a, b, c] triple")
         a, b, c = triple
-        for lbl in (a, b, c):
-            if lbl not in pos:
-                raise MalformedTable(f"sum entry mentions unknown label {lbl!r}")
-        i, j, k = pos[a], pos[b], pos[c]
-        for x, y in ((i, j), (j, i)):
-            if table[x][y] is not None and table[x][y] != k:
-                raise CommutativityViolation(
-                    f"conflicting values for {a!r}(+){b!r}", (a, b)
-                )
-            table[x][y] = k
+        try:
+            i, j, k = pos[a], pos[b], pos[c]
+        except KeyError:
+            for lbl in (a, b, c):
+                if lbl not in pos:
+                    msg = f"sum entry mentions unknown label {lbl!r}"
+                    raise MalformedTable(msg) from None
+        # both orientations are written together, so the table stays symmetric
+        if table[i][j] not in (None, k):
+            raise CommutativityViolation(
+                f"conflicting values for {a!r}(+){b!r}", (a, b)
+            )
+        table[i][j] = table[j][i] = k
     return _validate_checked(labels, pos[zero], pos[unit], table)
 
 
@@ -198,9 +205,29 @@ def from_table(labels, zero: ElementId, unit: ElementId, rows) -> FiniteEffectAl
     holds the ElementId of p + q at q, or None where the sum is undefined.
 
     The rows are read only once the carrier passes its structure checks.
+    MalformedTable refuses, before any axiom check, a zero or unit that is
+    not an int in range(n), a table that is not n rows of n entries, and an
+    entry that is neither None nor an int in range(n).
     """
+    n = len(labels)
+    if not (type(zero) is type(unit) is int and 0 <= zero < n and 0 <= unit < n):
+        raise MalformedTable(f"zero and unit must be ints in range({n})")
     _check_structure(labels, labels[zero], labels[unit])
-    return _validate_checked(labels, zero, unit, list(rows))
+    rows = list(rows)
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:  # a row that is not a sequence fails the shape check
+        rows = ()
+    # types first, so that no 2.0 or True passes as an index
+    if (
+        set(map(len, rows)) | {len(rows)} != {n}
+        or not set(map(type, chain(*rows))) <= {int, type(None)}
+        or not set(chain(*rows)) <= {None, *range(n)}
+    ):
+        raise MalformedTable(
+            f"the sum table must be {n} rows of {n} entries, each None or in range({n})"
+        )
+    return _validate_checked(labels, zero, unit, rows)
 
 
 def from_json_dict(doc: dict) -> FiniteEffectAlgebra:
@@ -223,7 +250,8 @@ def from_json_dict(doc: dict) -> FiniteEffectAlgebra:
     for triple in doc["sums"]:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise MalformedTable(f"sum entry {triple!r} is not an [a, b, c] triple")
-        if not all(isinstance(x, str) for x in triple):
+        a, b, c = triple
+        if not (isinstance(a, str) and isinstance(b, str) and isinstance(c, str)):
             raise MalformedTable(f"sum entry {triple!r} has a non-string label")
     return validate(doc["elements"], doc["zero"], doc["unit"], doc["sums"])
 
@@ -252,60 +280,56 @@ def _check_structure(labels, zero, unit):
 
 def _validate_checked(labels, zero, unit, table) -> FiniteEffectAlgebra:
     n = len(labels)
+    rows = tuple(map(tuple, table))
 
-    # (i) commutativity, in definedness and value
-    for p in range(n):
-        for q in range(p, n):
-            if table[p][q] != table[q][p]:
-                raise CommutativityViolation(
-                    f"{labels[p]!r}(+){labels[q]!r} and its flip disagree",
-                    (labels[p], labels[q]),
-                )
+    # (i) commutativity, in definedness and value: the table is its transpose
+    if tuple(zip(*rows)) != rows:
+        for p in range(n):
+            for q in range(p, n):
+                if rows[p][q] != rows[q][p]:
+                    raise CommutativityViolation(
+                        f"{labels[p]!r}(+){labels[q]!r} and its flip disagree",
+                        (labels[p], labels[q]),
+                    )
 
-    # p orthogonal to 1 forces p = 0
-    for p in range(n):
-        if table[p][unit] is not None and p != zero:
+    # p orthogonal to 1 forces p = 0; the unit's row is its column
+    for p, s in enumerate(rows[unit]):
+        if s is not None and p != zero:
             raise UnitIsotropic(
                 f"{labels[p]!r} is orthogonal to the unit but nonzero", (labels[p],)
             )
 
     # unique orthosupplement
-    for p in range(n):
-        supp = [q for q in range(n) if table[p][q] == unit]
-        if not supp:
-            raise SupplementMissing(
-                f"{labels[p]!r} has no orthosupplement", (labels[p],)
-            )
-        if len(supp) > 1:
+    for p, row in enumerate(rows):
+        if row.count(unit) != 1:
+            supp = [q for q in range(n) if row[q] == unit]
+            if not supp:
+                raise SupplementMissing(
+                    f"{labels[p]!r} has no orthosupplement", (labels[p],)
+                )
             raise SupplementNotUnique(
                 f"{labels[p]!r} has several orthosupplements "
                 f"{[labels[q] for q in supp]}",
                 (labels[p],) + tuple(labels[q] for q in supp),
             )
 
-    # associativity, fully exhausted
-    for q in range(n):
-        for r in range(n):
-            qr = table[q][r]
-            if qr is None:
-                continue
-            for p in range(n):
-                if table[p][qr] is None:
-                    continue
-                pq = table[p][q]
-                if pq is None or table[pq][r] != table[p][qr]:
-                    raise AssociativityViolation(
-                        f"associativity fails on "
-                        f"({labels[p]!r}, {labels[q]!r}, {labels[r]!r})",
-                        (labels[p], labels[q], labels[r]),
-                    )
+    # associativity, fully exhausted: p + (q + r) defined forces (p + q) + r
+    # = p + (q + r), read as row r at p + q by commutativity
+    for q, row_q in enumerate(rows):
+        for r, qr in enumerate(row_q):
+            if qr is not None:
+                row_r = rows[r]
+                for p, p_qr in enumerate(rows[qr]):
+                    if p_qr is not None:
+                        pq = row_q[p]
+                        if pq is None or row_r[pq] != p_qr:
+                            raise AssociativityViolation(
+                                f"associativity fails on "
+                                f"({labels[p]!r}, {labels[q]!r}, {labels[r]!r})",
+                                (labels[p], labels[q], labels[r]),
+                            )
 
-    return FiniteEffectAlgebra(
-        labels=tuple(labels),
-        zero=zero,
-        unit=unit,
-        table=tuple(tuple(row) for row in table),
-    )
+    return FiniteEffectAlgebra(labels=tuple(labels), zero=zero, unit=unit, table=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -339,44 +363,61 @@ def derive_order(alg: FiniteEffectAlgebra) -> DerivedStructure:
 def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
     n = alg.size
     t = alg.table
-    # down[q] and up[p] are bitmasks of the elements below q and above p
+    nones = (None,) * n
+    # down[q] and up[p] are bitmasks of the elements below q and above p;
+    # orth[p] lists the q with p + q defined
     down = [0] * n
-    up = [0] * n
-    difference: list[list[ElementId | None]] = [[None] * n for _ in range(n)]
+    up = []
+    orth = []
+    leq = []
+    difference = []
     sums = []
-    for p in range(n):
-        for r, q in enumerate(t[p]):
-            if q is not None:
-                down[q] |= 1 << p
-                up[p] |= 1 << q
-                difference[p][q] = r
-                if p <= r:
-                    sums.append((p, r, q))
+    for p, row in enumerate(t):
+        o = [r for r, q in enumerate(row) if q is not None]
+        orth.append(o)
+        diff = [None] * n
+        mask = 0
+        for r in o:
+            q = row[r]
+            diff[q] = r
+            down[q] |= 1 << p
+            mask |= 1 << q
+            if p <= r:
+                sums.append((p, r, q))
+        up.append(mask)
+        leq.append(tuple(map(is_not, diff, nones)))
+        difference.append(tuple(diff))
 
     # (x + z, y + z) is compatible for every mutually orthogonal (x, y, z)
     compatible = [0] * n
-    for x in range(n):
-        orth = [y for y in range(n) if t[x][y] is not None]
-        for y in orth:
-            for z in orth:
-                if t[y][z] is not None:
-                    compatible[t[x][z]] |= 1 << t[y][z]
+    for x, o in enumerate(orth):
+        row_x = t[x]
+        for y in o:
+            row_y = t[y]
+            for z in o:
+                yz = row_y[z]
+                if yz is not None:
+                    compatible[row_x[z]] |= 1 << yz
+    full = (1 << n) - 1
+    incompatible = []
+    for p, c in enumerate(compatible):
+        if c != full:
+            incompatible += [(p, q) for q in range(p + 1, n) if not c >> q & 1]
 
     # a meet's down-set is the common down-set, and distinct elements have
-    # distinct down-sets (antisymmetry); dually for joins and up-sets
-    by_down = {mask: p for p, mask in enumerate(down)}
-    by_up = {mask: p for p, mask in enumerate(up)}
+    # distinct down-sets (antisymmetry); dually for joins and up-sets.  Each
+    # table is one pass over the n * n pairs, cut into rows of n by zip
+    by_down = {mask: p for p, mask in enumerate(down)}.get
+    by_up = {mask: p for p, mask in enumerate(up)}.get
     return DerivedStructure(
-        leq=tuple(tuple(r is not None for r in row) for row in difference),
-        supplement=tuple(row[alg.unit] for row in difference),
+        leq=tuple(leq),
+        supplement=tuple([row[alg.unit] for row in difference]),
         # an atom has exactly two elements below it: 0 and itself
-        atoms=tuple(p for p in range(n) if down[p].bit_count() == 2),
-        difference=tuple(tuple(row) for row in difference),
-        meet=tuple(tuple(by_down.get(dp & dq) for dq in down) for dp in down),
-        join=tuple(tuple(by_up.get(up_p & up_q) for up_q in up) for up_p in up),
-        incompatible_pairs=tuple(
-            (p, q) for p in range(n) for q in range(p + 1, n) if not compatible[p] >> q & 1
-        ),
+        atoms=tuple([p for p, mask in enumerate(down) if mask.bit_count() == 2]),
+        difference=tuple(difference),
+        meet=tuple(zip(*[map(by_down, starmap(and_, product(down, repeat=2)))] * n)),
+        join=tuple(zip(*[map(by_up, starmap(and_, product(up, repeat=2)))] * n)),
+        incompatible_pairs=tuple(incompatible),
         sums=tuple(sums),
     )
 

@@ -21,14 +21,17 @@ nonnegative).  Its extreme rays come from the double description method
 refined one inequality at a time, combining only adjacent pairs.  Every
 extreme ray has t > 0 (the polytope is bounded) and is one vertex.  The
 vertices stay integers too: one numerator row each, over the least
-denominator common to all of them.
+denominator common to all of them.  The rays span the cone's linear hull,
+cut out by its implicit equalities, the inequalities tight on every ray
+(Schrijver 1986, Theory of Linear and Integer Programming, §8.2), so the
+affine dimension is read from those rows, not from the rays.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .algebra import AlgebraError, ElementId, FiniteEffectAlgebra, derive_order
@@ -120,9 +123,9 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     # rhs*t - sum(row[f] * x[f]) >= 0 on the cone over (x, t) = t * (w[free], 1).
     # Every ray has t > 0: at t = 0 the rows force w = 0, as each element
     # and its supplement add up to the unit.  So each ray is one vertex.
-    rays = _extreme_rays(
-        len(free) + 1, [[-row[f] for f in free] + [row[-1]] for row in base_rows]
-    )
+    d = len(free) + 1
+    constraints = [[-row[f] for f in free] + [row[-1]] for row in base_rows]
+    rays = _extreme_rays(d, constraints)
     if not rays:
         raise EmptyStateSpace("the state polytope is empty")
 
@@ -146,8 +149,13 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     denominator = lcm(*(v[alg.unit] for v in values))
     verts = sorted(tuple(denominator // v[alg.unit] * x for x in v) for v in values)
     # w -> dec . w is injective (each atom's dec is a unit vector), so the
-    # vertices span the same affine dimension as their rays, less one
-    rank = len(_reduce([ray + (0,) for ray in rays])[1])
+    # vertices span the same affine dimension as their rays, less one.  The
+    # rays span the cone's linear hull, which the implicit equalities cut
+    # out: the inequalities tight on every ray, so zero at the rays' sum
+    total = list(map(sum, zip(*rays)))
+    implicit = [[0] * j + [1] + [0] * (d - j) for j, s in enumerate(total) if not s]
+    implicit += [a + [0] for a in constraints if not sum(map(mul, a, total))]
+    rank = d - len(_reduce(implicit)[1]) if implicit else d
     return StatePolytope(denominator, tuple(verts), rank - 1)
 
 
@@ -248,6 +256,10 @@ def check_state(alg: FiniteEffectAlgebra, values, scale=1) -> list[str]:
     The axioms are homogeneous, so values may be a state multiplied by a
     positive scale (integers at a common denominator, say); the unit must
     then take the value scale.
+
+    The defined sums a + b = c are read straight from the table, as a <= b
+    in ascending order (the order of ``DerivedStructure.sums``), so checking
+    a state derives nothing.
     """
     out = []
     if values[alg.unit] != scale:
@@ -255,9 +267,13 @@ def check_state(alg: FiniteEffectAlgebra, values, scale=1) -> list[str]:
     for p in alg.elements():
         if values[p] < 0:
             out.append(f"negative value at {alg.labels[p]}")
-    for a, b, c in derive_order(alg).sums:
-        if values[a] + values[b] != values[c]:
-            out.append(f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})")
+    n = alg.size
+    for a, row in enumerate(alg.table):
+        va = values[a]
+        for b in range(a, n):
+            c = row[b]
+            if c is not None and va + values[b] != values[c]:
+                out.append(f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})")
     return out
 
 

@@ -9,20 +9,29 @@ import pytest
 from qlogic import catalog
 from qlogic.cloning import find_cloning_bimorphism
 from qlogic.algebra import (
+    AlgebraError,
     AssociativityViolation,
     CommutativityViolation,
+    DerivedStructure,
+    FiniteEffectAlgebra,
     MalformedTable,
     NotAnOrthoalgebra,
     SupplementMissing,
     SupplementNotUnique,
     UnitIsotropic,
+    ValidationError,
     ZeroHasNoIndex,
+    _check_structure,
+    _derive,
+    _validate_checked,
     are_compatible,
     atoms,
     check_coherence,
     derive_order,
     find_isomorphism,
     from_json,
+    from_json_dict,
+    from_table,
     incompatible_pairs,
     is_archimedean,
     is_atomic,
@@ -39,6 +48,7 @@ from qlogic.algebra import (
 )
 from qlogic.fuzz import random_algebra, random_algebras, shuffle_carrier
 from qlogic.mv import find_chain_decomposition
+from test_catalog import complete_quadrilateral, grid, random_pasting_blocks
 
 
 def catalog_suite():
@@ -584,3 +594,289 @@ def test_coherence_counterexample_matches_ordered_pair_scan():
         expected = scan_coherence(alg)
         assert not expected[0]
         assert check_coherence(alg) == expected
+
+
+# ---------------------------------------------------------------------------
+# whole-row loading, validation and derivation against the scalar paths they
+# replaced, kept here as oracles
+
+
+def oracle_from_json_dict(doc):
+    """Oracle: from_json_dict's per-triple checks with one all(...) label
+    test, then oracle_validate."""
+    for triple in doc["sums"]:
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise MalformedTable(f"sum entry {triple!r} is not an [a, b, c] triple")
+        if not all(isinstance(x, str) for x in triple):
+            raise MalformedTable(f"sum entry {triple!r} has a non-string label")
+    return oracle_validate(doc["elements"], doc["zero"], doc["unit"], doc["sums"])
+
+
+def oracle_validate(elements, zero, unit, sums):
+    """Oracle: validate with one membership test per label and one
+    orientation at a time, then scalar_validate_checked."""
+    labels = tuple(elements)
+    _check_structure(labels, zero, unit)
+    n = len(labels)
+    pos = {lbl: i for i, lbl in enumerate(labels)}
+    table = [[None] * n for _ in range(n)]
+    for triple in sums:
+        if len(triple) != 3:
+            raise MalformedTable(f"sum entry {triple!r} is not an [a, b, c] triple")
+        a, b, c = triple
+        for lbl in (a, b, c):
+            if lbl not in pos:
+                raise MalformedTable(f"sum entry mentions unknown label {lbl!r}")
+        i, j, k = pos[a], pos[b], pos[c]
+        for x, y in ((i, j), (j, i)):
+            if table[x][y] is not None and table[x][y] != k:
+                raise CommutativityViolation(
+                    f"conflicting values for {a!r}(+){b!r}", (a, b)
+                )
+            table[x][y] = k
+    return scalar_validate_checked(labels, pos[zero], pos[unit], table)
+
+
+def scalar_validate_checked(labels, zero, unit, table):
+    """Oracle: the four axiom checks as scalar scans of the table, cell by cell."""
+    n = len(labels)
+    for p in range(n):
+        for q in range(p, n):
+            if table[p][q] != table[q][p]:
+                raise CommutativityViolation(
+                    f"{labels[p]!r}(+){labels[q]!r} and its flip disagree",
+                    (labels[p], labels[q]),
+                )
+    for p in range(n):
+        if table[p][unit] is not None and p != zero:
+            raise UnitIsotropic(
+                f"{labels[p]!r} is orthogonal to the unit but nonzero", (labels[p],)
+            )
+    for p in range(n):
+        supp = [q for q in range(n) if table[p][q] == unit]
+        if not supp:
+            raise SupplementMissing(
+                f"{labels[p]!r} has no orthosupplement", (labels[p],)
+            )
+        if len(supp) > 1:
+            raise SupplementNotUnique(
+                f"{labels[p]!r} has several orthosupplements "
+                f"{[labels[q] for q in supp]}",
+                (labels[p],) + tuple(labels[q] for q in supp),
+            )
+    for q in range(n):
+        for r in range(n):
+            qr = table[q][r]
+            if qr is None:
+                continue
+            for p in range(n):
+                if table[p][qr] is None:
+                    continue
+                pq = table[p][q]
+                if pq is None or table[pq][r] != table[p][qr]:
+                    raise AssociativityViolation(
+                        f"associativity fails on "
+                        f"({labels[p]!r}, {labels[q]!r}, {labels[r]!r})",
+                        (labels[p], labels[q], labels[r]),
+                    )
+    return FiniteEffectAlgebra(
+        labels=tuple(labels),
+        zero=zero,
+        unit=unit,
+        table=tuple(tuple(row) for row in table),
+    )
+
+
+def generator_derive(alg):
+    """Oracle: the derived structure built cell by cell and through generator
+    expressions, one row at a time."""
+    n = alg.size
+    t = alg.table
+    down = [0] * n
+    up = [0] * n
+    difference = [[None] * n for _ in range(n)]
+    sums = []
+    for p in range(n):
+        for r, q in enumerate(t[p]):
+            if q is not None:
+                down[q] |= 1 << p
+                up[p] |= 1 << q
+                difference[p][q] = r
+                if p <= r:
+                    sums.append((p, r, q))
+    compatible = [0] * n
+    for x in range(n):
+        orth = [y for y in range(n) if t[x][y] is not None]
+        for y in orth:
+            for z in orth:
+                if t[y][z] is not None:
+                    compatible[t[x][z]] |= 1 << t[y][z]
+    by_down = {mask: p for p, mask in enumerate(down)}
+    by_up = {mask: p for p, mask in enumerate(up)}
+    return DerivedStructure(
+        leq=tuple(tuple(r is not None for r in row) for row in difference),
+        supplement=tuple(row[alg.unit] for row in difference),
+        atoms=tuple(p for p in range(n) if down[p].bit_count() == 2),
+        difference=tuple(tuple(row) for row in difference),
+        meet=tuple(tuple(by_down.get(dp & dq) for dq in down) for dp in down),
+        join=tuple(tuple(by_up.get(up_p & up_q) for up_q in up) for up_p in up),
+        incompatible_pairs=tuple(
+            (p, q) for p in range(n) for q in range(p + 1, n) if not compatible[p] >> q & 1
+        ),
+        sums=tuple(sums),
+    )
+
+
+def random_pastings(seed, draws):
+    """The valid Greechie pastings among draws random block lists."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        try:
+            out.append(catalog.pasting(random_pasting_blocks(rng)))
+        except ValidationError:
+            pass
+    return out
+
+
+def replaced_path_suite():
+    suite = catalog_suite() + [grid(3, 3), complete_quadrilateral()]
+    for seed in (1, 7, 202):
+        suite += random_algebras(seed=seed, count=200)
+    return suite + random_pastings(3, 100)
+
+
+def outcome(load, *args):
+    """The algebra load builds, or the class, message and witnesses it raises."""
+    try:
+        return load(*args)
+    except AlgebraError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witnesses", None)
+
+
+def test_whole_row_validation_matches_scalar_oracle():
+    for alg in replaced_path_suite():
+        rows = [list(row) for row in alg.table]
+        args = (alg.labels, alg.zero, alg.unit)
+        assert _validate_checked(*args, rows) == scalar_validate_checked(*args, rows)
+        assert from_table(*args, rows) == alg
+        doc = alg.to_json_dict()
+        assert from_json_dict(doc) == oracle_from_json_dict(doc) == alg
+
+
+def test_whole_row_derive_matches_generator_oracle():
+    for alg in replaced_path_suite():
+        assert _derive(alg) == generator_derive(alg), alg.labels
+
+
+def corrupt_sums(doc, rng):
+    """doc with one of its sums corrupted in one of six ways."""
+    sums = [list(s) for s in doc["sums"]]
+    i = rng.randrange(len(sums))
+    kind = rng.randrange(6)
+    if kind == 0:  # a sum's result changed
+        sums[i][2] = rng.choice(doc["elements"])
+    elif kind == 1:  # a sum dropped
+        del sums[i]
+    elif kind == 2:  # a sum added, on sum i's flipped pair or on any pair; it
+        # conflicts unless its pair is new or it draws the same value
+        pair = sums[i][1::-1] if rng.randrange(2) else rng.choices(doc["elements"], k=2)
+        sums.append(pair + [rng.choice(doc["elements"])])
+    elif kind == 3:  # one or two unknown labels
+        for k in rng.sample(range(3), rng.randint(1, 2)):
+            sums[i][k] = f"unknown{k}"
+    elif kind == 4:
+        sums[i][rng.randrange(3)] = 7
+    else:
+        del sums[i][rng.randrange(3)]
+    return dict(doc, sums=sums)
+
+
+def test_corrupted_documents_raise_what_the_oracle_raises():
+    rng = random.Random(19)
+    docs = [alg.to_json_dict() for alg in random_algebras(seed=19, count=100)]
+    seen = set()
+    for _ in range(400):
+        doc = corrupt_sums(rng.choice(docs), rng)
+        got = outcome(from_json_dict, doc)
+        assert got == outcome(oracle_from_json_dict, doc), doc
+        seen.add(got[0] if isinstance(got, tuple) else "valid")
+    assert seen >= {
+        "MalformedTable",
+        "CommutativityViolation",
+        "AssociativityViolation",
+        "SupplementMissing",
+        "SupplementNotUnique",
+        "UnitIsotropic",
+    }
+
+
+def test_corrupted_tables_raise_what_the_oracle_raises():
+    # one cell changed, on one side of the diagonal only, so commutativity
+    # fails too; from_table checks the whole table against its transpose
+    rng = random.Random(23)
+    algs = random_algebras(seed=23, count=100)
+    seen = set()
+    for _ in range(400):
+        alg = rng.choice(algs)
+        rows = [list(row) for row in alg.table]
+        p, q = rng.randrange(alg.size), rng.randrange(alg.size)
+        rows[p][q] = rng.choice([None, *alg.elements()])
+        if rng.randrange(2):
+            rows[q][p] = rows[p][q]
+        args = (alg.labels, alg.zero, alg.unit, rows)
+        got = outcome(from_table, *args)
+        assert got == outcome(scalar_validate_checked, *args), rows
+        seen.add(got[0] if isinstance(got, tuple) else "valid")
+    assert seen == {
+        "valid",
+        "CommutativityViolation",
+        "AssociativityViolation",
+        "SupplementMissing",
+        "SupplementNotUnique",
+        "UnitIsotropic",
+    }
+
+
+CHAIN2_ROWS = [[0, 1, 2], [1, 2, None], [2, None, None]]
+
+
+def test_from_table_builds_what_validate_builds():
+    labels = ("0", "a", "1")
+    sums = [["0", "0", "0"], ["0", "a", "a"], ["0", "1", "1"], ["a", "a", "1"]]
+    assert from_table(labels, 0, 2, CHAIN2_ROWS) == validate(labels, "0", "1", sums)
+
+
+@pytest.mark.parametrize(
+    "zero, unit, rows",
+    [
+        (0, 2, CHAIN2_ROWS + [[None] * 3]),
+        (5, 2, CHAIN2_ROWS),
+        (-3, 2, CHAIN2_ROWS),
+        (0, 2.0, CHAIN2_ROWS),
+        (0, 2, [[0, 1, 2], [1, 2], [2, None, None]]),
+        (0, 2, CHAIN2_ROWS[:2]),
+        (0, 2, CHAIN2_ROWS[:2] + [2]),
+        (0, 2, [[0, 1, 2], [1, 2, 9], [2, 9, None]]),
+        (0, 2, [[0, 1, 2], [1, 2, -1], [2, -1, None]]),
+        (0, 2, [[0, 1, 2.0], [1, 2, None], [2.0, None, None]]),
+        (0, 2, [[0, True, 2], [True, 2, None], [2, None, None]]),
+    ],
+    ids=[
+        "four-rows",
+        "zero-5",
+        "zero-minus-3",
+        "unit-float",
+        "short-row",
+        "two-rows",
+        "row-not-a-sequence",
+        "entry-9",
+        "entry-minus-1",
+        "entry-float",
+        "entry-bool",
+    ],
+)
+def test_from_table_refuses_malformed_shapes(zero, unit, rows):
+    with pytest.raises(MalformedTable) as err:
+        from_table(("0", "a", "1"), zero, unit, rows)
+    assert type(err.value) is MalformedTable

@@ -383,6 +383,16 @@ def test_integer_verification_matches_oracle_on_perturbed_polytopes(oracle_model
     assert seen == set(kinds)
 
 
+def test_verification_leaves_the_induced_algebra_underived():
+    # check_state reads the induced algebra's sums from its table, so no
+    # DerivedStructure is built for it, on passing and on failing states
+    models = hidden_variable_models(catalog_suite() + random_algebras(3, 60))
+    for i, (model, poly) in enumerate(models):
+        for case in ((model, poly), perturbed(model, poly, i)):
+            verify_hidden_variable(*case)
+            assert "_derived" not in case[0].induced.__dict__
+
+
 def test_verification_without_vertices():
     alg = catalog.boolean_powerset(2)
     model = hidden_variable_construct(alg, meet_witness(alg), atomic_decomposition(alg))

@@ -18,7 +18,7 @@ from qlogic.states import (
     is_separating,
     monotone_under,
 )
-from test_algebra import catalog_suite
+from test_algebra import catalog_suite, replaced_path_suite
 from test_catalog import complete_quadrilateral, grid, stateless_pasting
 
 
@@ -376,6 +376,90 @@ def test_column_separation_matches_pairwise_oracle():
     # a separating and a non-separating algebra (the complete
     # quadrilateral), and the empty polytope, which merges every pair
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def padded_grid(pads, lead):
+    """grid(3, 3) with a new atom z_j in each of the first pads column blocks,
+    listed first in its block when lead is true (n = 36 for 2 pads, 44 for 3).
+
+    The rows and the columns each sum to 3, so the z_j sum to 0 and are 0 on
+    every state, which no equality forces one at a time: the reduced cone has
+    implicit equalities.  Listed last, all but one z_j are free atoms and the
+    y >= 0 rows carry the equalities; listed first, the z_j are pivot atoms
+    and the constraint rows carry them.
+    """
+    rows = [tuple(f"x{i}{j}" for j in range(3)) for i in range(3)]
+    columns = [tuple(f"x{i}{j}" for i in range(3)) for j in range(3)]
+    for j in range(pads):
+        columns[j] = (f"z{j}",) + columns[j] if lead else columns[j] + (f"z{j}",)
+    return catalog.pasting(columns + rows if lead else rows + columns)
+
+
+def ray_rank(rays):
+    """Oracle: the rank of the rays by Gauss-Jordan elimination, as the
+    affine dimension was taken before the implicit equalities replaced it."""
+    return len(states._reduce([ray + (0,) for ray in rays])[1])
+
+
+def test_dimension_from_implicit_equalities_matches_ray_rank(monkeypatch):
+    seen = []
+    extreme_rays = states._extreme_rays
+
+    def capture(d, constraints):
+        rays = extreme_rays(d, constraints)
+        seen.append((d, rays))
+        return rays
+
+    monkeypatch.setattr(states, "_extreme_rays", capture)
+    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
+    padded = [padded_grid(3, lead=False), padded_grid(2, lead=True)]
+    cut = []
+    for alg in replaced_path_suite() + padded:
+        seen.clear()
+        try:
+            poly = enumerate_vertex_states(alg)
+        except EmptyStateSpace:
+            continue
+        ((d, rays),) = seen
+        assert poly.affine_dimension == ray_rank(rays) - 1, alg.labels
+        if poly.affine_dimension < d - 1:
+            cut.append(alg)
+    # the padded grids' rays span less than the cone's d dimensions, and
+    # their states are still the 4-dimensional Birkhoff polytope
+    assert cut == padded
+    for alg in padded:
+        assert enumerate_vertex_states(alg).affine_dimension == 4
+
+
+def derived_sums_check_state(alg, values, scale=1):
+    """Oracle: check_state reading the defined sums from derive_order."""
+    out = []
+    if values[alg.unit] != scale:
+        out.append("value at the unit is not 1")
+    for p in alg.elements():
+        if values[p] < 0:
+            out.append(f"negative value at {alg.labels[p]}")
+    for a, b, c in derive_order(alg).sums:
+        if values[a] + values[b] != values[c]:
+            out.append(f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})")
+    return out
+
+
+def test_check_state_matches_derived_sums_oracle():
+    failing = 0
+    for alg in replaced_path_suite():
+        try:
+            poly = enumerate_vertex_states(alg)
+        except EmptyStateSpace:
+            continue
+        for i, v in enumerate(poly.vertices):
+            values = list(v)
+            values[i % alg.size] -= 1 + i % 3
+            for case in (v, values):
+                messages = check_state(alg, case, poly.denominator)
+                assert messages == derived_sums_check_state(alg, case, poly.denominator)
+                failing += bool(messages)
+    assert failing
 
 
 def test_chain2_forces_half():
