@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FiniteEffectAlgebra, tabulate
+from .algebra import FiniteEffectAlgebra
 from . import catalog
 
 
@@ -43,10 +43,17 @@ def _random_spec(rng: random.Random, budget: int) -> FiniteEffectAlgebra | None:
 def shuffle_carrier(
     alg: FiniteEffectAlgebra, rng: random.Random
 ) -> FiniteEffectAlgebra:
-    """Re-validate the same algebra with a randomly permuted carrier order."""
+    """The same algebra with a randomly permuted carrier order.
+
+    A permuted valid table is valid, so it is not checked again.
+    """
     order = list(alg.elements())
-    rng.shuffle(order)
-    return tabulate(order, alg.zero, alg.unit, alg.sum, alg.label)
+    rng.shuffle(order)  # new index -> old index
+    new = {old: i for i, old in enumerate(order)}
+    new[None] = None  # an undefined sum stays undefined
+    table = tuple(tuple([new[alg.table[p][q]] for q in order]) for p in order)
+    labels = tuple([alg.labels[p] for p in order])
+    return FiniteEffectAlgebra(labels, new[alg.zero], new[alg.unit], table)
 
 
 def random_algebra(rng: random.Random, max_size: int = 10) -> FiniteEffectAlgebra:

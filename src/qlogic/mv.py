@@ -10,10 +10,8 @@ rows at the parts give the embedding h.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from itertools import product as iproduct
 from operator import mul
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import (
@@ -37,39 +35,19 @@ class ConstructionFailed(AlgebraError):
     pass
 
 
-class FiniteMV:
-    """A finite MV carrier with explicit operation tables.
+class FiniteMV(NamedTuple):
+    """A finite MV carrier as index tables over its elements.
 
-    Elements may be any hashable values (interval ElementIds, tuples, ...).
-    The maps are copied into read-only views, so the index tables built from
-    them cannot go stale.
+    P[i][j] is the index of elements[i] + elements[j], N[i] that of
+    elements[i]', and zero and one are indices.  The elements (interval
+    ElementIds, tuples of them, ...) only name the indices in reports.
     """
 
-    def __init__(self, elements, plus_map, neg_map, zero, one):
-        self.elements = tuple(elements)
-        self.plus_map = MappingProxyType(dict(plus_map))
-        self.neg_map = MappingProxyType(dict(neg_map))
-        self.zero = zero
-        self.one = one
-
-    @cached_property
-    def tables(self):
-        """(index, P, N): index[a] numbers the (distinct) elements, P[i][j]
-        is the index of elems[i] + elems[j] and N[i] that of elems[i]'."""
-        elems = self.elements
-        index = {a: i for i, a in enumerate(elems)}
-        sums = map(self.plus_map.__getitem__, iproduct(elems, repeat=2))
-        flat = list(map(index.__getitem__, sums))
-        n = len(elems)
-        P = [flat[i : i + n] for i in range(0, n * n, n)]
-        N = [index[self.neg_map[a]] for a in elems]
-        return index, P, N
-
-    def plus(self, a, b):
-        return self.plus_map[(a, b)]
-
-    def neg(self, a):
-        return self.neg_map[a]
+    elements: tuple
+    P: tuple[tuple[int, ...], ...]
+    N: tuple[int, ...]
+    zero: int
+    one: int
 
 
 class SampledMV:
@@ -81,7 +59,6 @@ class SampledMV:
         self.zero = zero
         self.one = one
         self.sample = sample
-        self.elements = None
 
 
 class MVReport(NamedTuple):
@@ -97,19 +74,15 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
 
     Each instance is checked once, in the order: 0' = 1, the one-variable
     identities per element, commutativity and the Lukasiewicz identity per
-    pair, associativity per triple.  Exhaustive mode checks on the carrier's
-    index tables (FiniteMV.tables, built once per carrier and shared with
-    effect_algebra_of_mv and order_reflection_holds); associativity compares
-    the row P[P[i][j]] with a + (b + c) for all c at once and walks c only
-    in a row that differs.  Sampled mode takes its elements and pairs from
+    pair, associativity per triple.  A FiniteMV is checked exhaustively on
+    its index tables; associativity compares the row P[P[i][j]] with
+    a + (b + c) for all c at once and walks c only in a row that differs.
+    A SampledMV is probed through its callables: its elements and pairs are
     the first components of the sampled triples.
     """
-    plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
-    violations = [] if neg(zero) == one else ["0' != 1"]
-    if carrier.elements is not None:
-        elems = carrier.elements
-        index, P, N = carrier.tables
-        Z, U = index[zero], index[one]
+    if isinstance(carrier, FiniteMV):
+        elems, P, N, Z, U = carrier
+        violations = [] if N[Z] == U else ["0' != 1"]
         for i, a in enumerate(elems):
             if P[i][N[i]] != U:
                 violations.append(f"a + a' != 1 at {a}")
@@ -129,7 +102,7 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
             Pi = P[i]
             for j, b in enumerate(elems):
                 left, Pj = P[Pi[j]], P[j]
-                if left != [Pi[x] for x in Pj]:
+                if left != tuple([Pi[x] for x in Pj]):
                     for k, c in enumerate(elems):
                         if left[k] != Pi[Pj[k]]:
                             violations.append(f"associativity fails on ({a}, {b}, {c})")
@@ -139,6 +112,8 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
             triples_checked=len(elems) ** 3,
             violations=tuple(violations),
         )
+    plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
+    violations = [] if neg(zero) == one else ["0' != 1"]
     rng = random.Random(seed)
     triples = dict.fromkeys(
         (carrier.sample(rng), carrier.sample(rng), carrier.sample(rng))
@@ -173,13 +148,12 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
 def effect_algebra_of_mv(mv: FiniteMV) -> FiniteEffectAlgebra:
     """The induced effect algebra: a + b kept only when a <= b' in the MV
     order, that is when a' + b' = 1."""
-    index, P, N = mv.tables
-    U = index[mv.one]
+    P, N, U = mv.P, mv.N, mv.one
     table = [
         [s if negs[nb] == U else None for s, nb in zip(row, N)]
         for row, negs in zip(P, [P[na] for na in N])
     ]
-    return from_table(tuple(map(str, mv.elements)), index[mv.zero], U, table)
+    return from_table(tuple(map(str, mv.elements)), mv.zero, U, table)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +208,21 @@ class HiddenVariableModel(NamedTuple):
     algebra: FiniteEffectAlgebra
     components: tuple[FiniteMV, ...]  # interval_mv of each part, in part order
     mv: FiniteMV
-    h: dict  # ElementId -> tuple of interval ElementIds
+    h: tuple[int, ...]  # h[x]: the mv.elements index of x's image
     induced: FiniteEffectAlgebra  # effect_algebra_of_mv(mv), built once
 
     def to_json_dict(self) -> dict:
         labels = self.algebra.labels
+        parts = [labels[c.elements[c.one]] for c in self.components]
         return {
-            "decomposition": [labels[c.one] for c in self.components],
+            "decomposition": parts,
             "h": {
-                labels[x]: [labels[c] for c in img]
-                for x, img in sorted(self.h.items())
+                labels[x]: [labels[c] for c in self.mv.elements[i]]
+                for x, i in enumerate(self.h)
             },
             "components": [
-                {"part": labels[c.one], "interval": [labels[x] for x in c.elements]}
-                for c in self.components
+                {"part": p, "interval": [labels[x] for x in c.elements]}
+                for p, c in zip(parts, self.components)
             ],
         }
 
@@ -259,35 +234,36 @@ def interval_mv(alg: FiniteEffectAlgebra, p: ElementId) -> FiniteMV:
         raise ConstructionFailed(
             f"[0, {alg.labels[p]}] is not a totally ordered sum-closed interval"
         )
+    pos = {x: i for i, x in enumerate(interval)}
     # [0, p] is sum-closed, so only an undefined sum truncates to p
     t = alg.table
-    plus_map = {
-        (x, y): p if t[x][y] is None else t[x][y] for x in interval for y in interval
-    }
+    P = tuple(
+        tuple([pos[p if t[x][y] is None else t[x][y]] for y in interval])
+        for x in interval
+    )
     # the complement p - x of each x <= p lies in [0, p]
     difference = derive_order(alg).difference
-    neg_map = {x: difference[x][p] for x in interval}
-    return FiniteMV(interval, plus_map, neg_map, zero=alg.zero, one=p)
+    N = tuple(pos[difference[x][p]] for x in interval)
+    return FiniteMV(tuple(interval), P, N, pos[alg.zero], pos[p])
 
 
 def product_mv(components: list[FiniteMV]) -> FiniteMV:
+    """The componentwise product, its elements in itertools.product order.
+
+    The components are folded in one at a time: with c of size m, the pair
+    (i, j) of the product so far and c has index i*m + j, and
+    P'[i*m + j][k*m + l] = P[i][k]*m + c.P[j][l].
+    """
+    P, N, zero, one = ((0,),), (0,), 0, 0  # the one-element MV on ()
+    for c in components:
+        m = len(c.elements)
+        P = tuple(
+            tuple([s * m + t for s in row for t in crow]) for row in P for crow in c.P
+        )
+        N = tuple([s * m + t for s in N for t in c.N])
+        zero, one = zero * m + c.zero, one * m + c.one
     elements = tuple(iproduct(*(c.elements for c in components)))
-    # iproduct(coords, repeat=2) runs over the k-th coordinates of the pairs
-    # of iproduct(elements, repeat=2) in step, so column k holds component
-    # k's share of each pair's sum
-    columns = [
-        map(c.plus_map.__getitem__, iproduct(coords, repeat=2))
-        for c, coords in zip(components, zip(*elements))
-    ]
-    plus_map = dict(zip(iproduct(elements, repeat=2), zip(*columns)))
-    neg_map = {a: tuple(c.neg(x) for c, x in zip(components, a)) for a in elements}
-    return FiniteMV(
-        elements=elements,
-        plus_map=plus_map,
-        neg_map=neg_map,
-        zero=tuple(c.zero for c in components),
-        one=tuple(c.one for c in components),
-    )
+    return FiniteMV(elements, P, N, zero, one)
 
 
 def hidden_variable_construct(
@@ -318,23 +294,29 @@ def hidden_variable_construct(
             f"product carrier violates the MV axioms: {axioms.violations[0]}"
         )
 
-    h = {
-        x: tuple(witness.table[p][x] for p in parts) for x in alg.elements()
-    }
-    index = mv.tables[0]
-    for x, img in h.items():
-        if img not in index:
-            raise ConstructionFailed(
-                f"h({alg.labels[x]}) leaves the product carrier"
-            )
-    if len(set(h.values())) != alg.size:
+    # h(x) is the tuple of witness.table[p][x] over the parts; its index in
+    # mv.elements reads the coordinates' interval positions as mixed radix
+    h = []
+    for x in alg.elements():
+        i = 0
+        for p, c in zip(parts, components):
+            y = witness.table[p][x]
+            if y not in c.elements:
+                raise ConstructionFailed(
+                    f"h({alg.labels[x]}) leaves the product carrier"
+                )
+            i = i * len(c.elements) + c.elements.index(y)
+        h.append(i)
+    h = tuple(h)
+    if len(set(h)) != alg.size:
         raise ConstructionFailed("h is not injective")
     if len(mv.elements) != alg.size:
         raise ConstructionFailed("h is not a bijection onto the product carrier")
-    # mv.plus passed the exhaustive commutativity check above, so a failing
+    # mv.P passed the exhaustive commutativity check above, so a failing
     # pair fails in both orders and the first one found has x <= y
+    P = mv.P
     for x, y, s in derive_order(alg).sums:
-        if h[s] != mv.plus(h[x], h[y]):
+        if h[s] != P[h[x]][h[y]]:
             raise ConstructionFailed(
                 f"h is not additive on ({alg.labels[x]}, {alg.labels[y]})"
             )
@@ -348,10 +330,9 @@ def order_reflection_holds(model: HiddenVariableModel) -> bool:
     """x <= y' in the source iff h(x) <= h(y)' in the MV order, exhaustively."""
     alg = model.algebra
     order = derive_order(alg)
-    index, P, N = model.mv.tables
-    U = index[model.mv.one]
+    P, N, U = model.mv.P, model.mv.N, model.mv.one
     # the indices of h(y)', y in carrier order
-    neg_h = [N[index[model.h[y]]] for y in alg.elements()]
+    neg_h = [N[i] for i in model.h]
     for x, nx in enumerate(neg_h):
         # h(x) <= h(y)' iff h(x)' + h(y)' = 1
         row = P[nx]
@@ -385,8 +366,9 @@ def check_lifted_state(
 ) -> list[str]:
     """Hidden-variable conditions for one state and one candidate lift.
 
-    omega and omega_bar may both be scaled by a common positive factor; scale
-    is then the value a state takes at the unit.
+    omega_bar lists the lift's values in mv.elements order.  omega and
+    omega_bar may both be scaled by a common positive factor; scale is then
+    the value a state takes at the unit.
     """
     violations = []
     alg = model.algebra
@@ -395,8 +377,7 @@ def check_lifted_state(
             violations.append(
                 f"lifted state disagrees with the source state at {alg.labels[q]}"
             )
-    values = [omega_bar[e] for e in model.mv.elements]
-    for msg in check_state(model.induced, values, scale):
+    for msg in check_state(model.induced, omega_bar, scale):
         violations.append(f"lift is not a state on the MV effect algebra: {msg}")
     return violations
 
@@ -469,7 +450,7 @@ def verify_hidden_variable(
             violations = []
             for w in batch:
                 omega = [sum(map(mul, w, column)) for column in columns]
-                omega_bar = dict(zip(model.mv.elements, [omega[x] for x in lift]))
+                omega_bar = [omega[x] for x in lift]
                 violations += check_lifted_state(model, omega, omega_bar, den * sum(w))
             if not violations:
                 break

@@ -772,6 +772,9 @@ PINNED_RESULTS = {
     ("boolean_powerset(2)", "clone-search --all"): "4402268e881314270582144d54e0f14c6bb578c79c81191889da101ad242768b",
     ("boolean_powerset(2)", "states"): "fc61a71eb2a6b7581201b27d2d712a29979fed8e7381643b1776d524cc9d6593",
     ("boolean_powerset(2)", "hidden"): "5d7e4fbfffa31c806a82ec4e7060fa2121e26dfa7f59ed0964f80e9061ef6639",
+    ("boolean_powerset(2)", "hidden --parts {2},{1}"): "a6c6ca4fe6d151ef5a83a4ed1984dcd5193c1f81324b2deb2f55bb4391d1b0e1",
+    ("boolean_powerset(3)", "hidden"): "2b8c6fc4d3272a2121d2a4cd8bdf157b5c70f2108ea7859f824a88701ed57a45",
+    ("boolean_powerset(4)", "hidden"): "2548f7b7865e9af8d507553d58ddc50b1d9683360430ee10f418604e4202956d",
     ("mo(2)", "analyze"): "8aa28c60f5221e1adebd6480935a60c7eb71f468136763c351cbd712e10eb473",
     ("mo(2)", "clone-search --all"): "60891ad128fb4162195ca7b9f5f3883f0d00c0fd61f2f8041e1e8eb05758497b",
     ("mo(2)", "states"): "06e8b1434380f6a5a15fcc659314d9a49ee318afdf4670caa1e3d2bddc550c5e",

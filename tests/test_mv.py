@@ -37,10 +37,17 @@ from test_states import fraction_vertices, integer_polytope
 
 def luka_chain(steps):
     """Lukasiewicz structure on {0, 1/steps, ..., 1} with truncated sum."""
-    elems = tuple(Fraction(k, steps) for k in range(steps + 1))
-    plus = {(a, b): min(a + b, Fraction(1)) for a in elems for b in elems}
-    neg = {a: 1 - a for a in elems}
-    return FiniteMV(elems, plus, neg, Fraction(0), Fraction(1))
+    ks = range(steps + 1)
+    P = tuple(tuple(min(i + j, steps) for j in ks) for i in ks)
+    N = tuple(steps - i for i in ks)
+    return FiniteMV(tuple(Fraction(k, steps) for k in ks), P, N, 0, steps)
+
+
+def element_ops(mv):
+    """mv's sum and complement on element values, one P or N lookup each."""
+    elems, P, N = mv.elements, mv.P, mv.N
+    pos = {a: i for i, a in enumerate(elems)}
+    return (lambda a, b: elems[P[pos[a]][pos[b]]]), (lambda a: elems[N[pos[a]]])
 
 
 def test_luka_chain_satisfies_axioms():
@@ -52,20 +59,17 @@ def test_luka_chain_satisfies_axioms():
 
 def test_broken_sum_fails_complement_axiom():
     # a + b := max(a + b - 1, 0) keeps commutativity but breaks a + a' = 1
-    elems = (Fraction(0), Fraction(1, 2), Fraction(1))
-    plus = {(a, b): max(a + b - 1, Fraction(0)) for a in elems for b in elems}
-    neg = {a: 1 - a for a in elems}
-    bad = FiniteMV(elems, plus, neg, Fraction(0), Fraction(1))
+    bad = luka_chain(2)._replace(
+        P=tuple(tuple(max(i + j - 2, 0) for j in range(3)) for i in range(3))
+    )
     rep = check_mv_axioms(bad)
     assert not rep.passed
     assert any("a + a' != 1" in v for v in rep.violations)
 
 
 def test_broken_negation_detected():
-    elems = (Fraction(0), Fraction(1))
-    plus = {(a, b): min(a + b, Fraction(1)) for a in elems for b in elems}
-    neg = {a: a for a in elems}  # not an involutive complement
-    rep = check_mv_axioms(FiniteMV(elems, plus, neg, Fraction(0), Fraction(1)))
+    # 0' = 0 and 1' = 1: not an involutive complement
+    rep = check_mv_axioms(luka_chain(1)._replace(N=(0, 1)))
     assert not rep.passed
 
 
@@ -136,7 +140,8 @@ def test_chain_decomposition_mo2():
 def test_interval_mv_truncates():
     alg = catalog.boolean_powerset(1)
     mv = interval_mv(alg, alg.unit)
-    assert mv.plus(alg.unit, alg.unit) == alg.unit
+    assert mv.elements[mv.one] == alg.unit
+    assert mv.P[mv.one][mv.one] == mv.one
     assert check_mv_axioms(mv).passed
 
 
@@ -152,8 +157,47 @@ def test_product_mv_componentwise():
     prod = product_mv([a, b])
     assert len(prod.elements) == 6
     assert check_mv_axioms(prod).passed
-    x = (Fraction(1), Fraction(1, 2))
-    assert prod.neg(x) == (Fraction(0), Fraction(1, 2))
+    _, neg = element_ops(prod)
+    assert neg((Fraction(1), Fraction(1, 2))) == (Fraction(0), Fraction(1, 2))
+
+
+def product_by_maps(components):
+    """Oracle: the product as dicts keyed by element tuples, one component
+    lookup per coordinate, then numbered in itertools.product order."""
+    elements = tuple(iproduct(*(c.elements for c in components)))
+    ops = [element_ops(c) for c in components]
+    plus = {
+        (a, b): tuple(op[0](x, y) for op, x, y in zip(ops, a, b))
+        for a in elements
+        for b in elements
+    }
+    neg = {a: tuple(op[1](x) for op, x in zip(ops, a)) for a in elements}
+    index = {a: i for i, a in enumerate(elements)}
+    return FiniteMV(
+        elements,
+        tuple(tuple(index[plus[a, b]] for b in elements) for a in elements),
+        tuple(index[neg[a]] for a in elements),
+        index[tuple(c.elements[c.zero] for c in components)],
+        index[tuple(c.elements[c.one] for c in components)],
+    )
+
+
+def test_product_mv_matches_dict_oracle(oracle_models):
+    # mixed radix over three components of sizes 2, 3 and 4
+    components = [luka_chain(1), luka_chain(2), luka_chain(3)]
+    prod = product_mv(components)
+    assert len(prod.elements) == 24
+    assert prod == product_by_maps(components)
+    assert check_mv_axioms(prod).passed
+    for model, _ in oracle_models:
+        assert model.mv == product_by_maps(model.components)
+
+
+def test_finite_mv_is_immutable():
+    mv = product_mv([luka_chain(1), luka_chain(2)])
+    assert all(type(f) is tuple for f in (mv.elements, mv.P, mv.N, *mv.P))
+    with pytest.raises(AttributeError):
+        mv.one = mv.zero
 
 
 def atomic_decomposition(alg):
@@ -172,14 +216,15 @@ def test_hidden_variable_construct_on_powersets(k):
 
 
 def lift_state(model, omega):
-    """The lifted state on the MV carrier: value at (x_n) is omega(sum of x_n)."""
+    """The lifted state on the MV carrier, in mv.elements order: the value at
+    (x_n) is omega(sum of x_n)."""
     alg = model.algebra
-    lifted = {}
+    lifted = []
     for m in model.mv.elements:
         total = alg.zero
         for x in m:
             total = alg.table[total][x]
-        lifted[m] = omega[total]
+        lifted.append(omega[total])
     return lifted
 
 
@@ -273,13 +318,13 @@ def test_construction_serialization():
 
 
 def scalar_order_reflection(model):
-    """Oracle: order reflection with mv.plus and mv.neg calls per pair;
+    """Oracle: order reflection with one P and two N lookups per pair;
     h(x) <= h(y)' in the MV order iff h(x)' + h(y)' = 1."""
     alg, mv, h = model.algebra, model.mv, model.h
     order = derive_order(alg)
     return all(
         order.leq[x][order.supplement[y]]
-        == (mv.plus(mv.neg(h[x]), mv.neg(h[y])) == mv.one)
+        == (mv.P[mv.N[h[x]]][mv.N[h[y]]] == mv.one)
         for x in alg.elements()
         for y in alg.elements()
     )
@@ -359,9 +404,9 @@ def perturbed(model, polytope, i):
     v[(i + 1) % len(v)] += Fraction(1, 2)
     poly = integer_polytope(vertices, polytope.affine_dimension)
     if i % 3 == 0:
-        alg, h = model.algebra, dict(model.h)
+        alg, h = model.algebra, list(model.h)
         h[alg.zero], h[alg.unit] = h[alg.unit], h[alg.zero]
-        model = model._replace(h=h)
+        model = model._replace(h=tuple(h))
     return model, poly
 
 
@@ -467,7 +512,8 @@ def test_negative_vertex_entry_checked_state_by_state(mixtures):
 
 def expected_mv_failures(mv):
     """Every failing instance of the eight identities, found independently."""
-    plus, neg, zero, one, elems = mv.plus, mv.neg, mv.zero, mv.one, mv.elements
+    (plus, neg), elems = element_ops(mv), mv.elements
+    zero, one = elems[mv.zero], elems[mv.one]
     found = set() if neg(zero) == one else {"0' != 1"}
     for a in elems:
         for name, lhs, rhs in (
@@ -491,8 +537,9 @@ def expected_mv_failures(mv):
 
 def scalar_mv_report(mv):
     """Oracle: the exhaustive MV check on the element values themselves,
-    with one plus or neg call per operation and no index tables."""
-    plus, neg, zero, one, elems = mv.plus, mv.neg, mv.zero, mv.one, mv.elements
+    with one plus or neg call per operation and no row comparisons."""
+    (plus, neg), elems = element_ops(mv), mv.elements
+    zero, one = elems[mv.zero], elems[mv.one]
     violations = [] if neg(zero) == one else ["0' != 1"]
     for a in elems:
         if plus(a, neg(a)) != one:
@@ -520,21 +567,16 @@ def scalar_mv_report(mv):
 
 
 def one_cell_changed(mv, i):
-    """Copies of mv with one plus_map cell, then one neg_map entry, moved
-    to the next element in carrier order; i picks the cell and the entry."""
-    elems = mv.elements
-    n = len(elems)
-    nxt = {a: elems[(k + 1) % n] for k, a in enumerate(elems)}
-    plus_map = dict(mv.plus_map)
-    cell = (elems[i % n], elems[(3 * i + 1) % n])
-    plus_map[cell] = nxt[plus_map[cell]]
-    neg_map = dict(mv.neg_map)
-    a = elems[(5 * i) % n]
-    neg_map[a] = nxt[neg_map[a]]
-    return [
-        FiniteMV(elems, plus_map, mv.neg_map, mv.zero, mv.one),
-        FiniteMV(elems, mv.plus_map, neg_map, mv.zero, mv.one),
-    ]
+    """Copies of mv with one P cell, then one N entry, moved to the next
+    element in carrier order; i picks the cell and the entry."""
+    n = len(mv.elements)
+    P = [list(row) for row in mv.P]
+    a, b = i % n, (3 * i + 1) % n
+    P[a][b] = (P[a][b] + 1) % n
+    N = list(mv.N)
+    a = (5 * i) % n
+    N[a] = (N[a] + 1) % n
+    return [mv._replace(P=tuple(map(tuple, P))), mv._replace(N=tuple(N))]
 
 
 def test_index_table_mv_check_matches_scalar_oracle(oracle_models):
@@ -558,18 +600,18 @@ def test_index_table_mv_check_matches_scalar_oracle(oracle_models):
 @pytest.mark.parametrize("broken", ("neg", "plus"))
 def test_each_failing_mv_instance_reported_once(broken):
     good = luka_chain(4)
-    plus, neg = good.plus_map, good.neg_map
     if broken == "neg":
-        neg = {a: a for a in good.elements}  # not an involutive complement
+        bad = good._replace(N=tuple(range(5)))  # not an involutive complement
     else:
-        plus = {(a, b): a for a, b in plus}  # not commutative
-    bad = FiniteMV(good.elements, plus, neg, good.zero, good.one)
+        bad = good._replace(P=tuple((i,) * 5 for i in range(5)))  # not commutative
     expected = expected_mv_failures(bad)
     rep = check_mv_axioms(bad)
     assert rep.triples_checked == 5**3
     assert sorted(rep.violations) == sorted(expected)
+    plus, neg = element_ops(bad)
+    elems = bad.elements
     sampled = SampledMV(
-        bad.plus, bad.neg, bad.zero, bad.one, lambda rng: rng.choice(bad.elements)
+        plus, neg, elems[bad.zero], elems[bad.one], lambda rng: rng.choice(elems)
     )
     rep = check_mv_axioms(sampled)
     assert (rep.mode, rep.triples_checked, rep.seed) == ("sampled", 1000, DEFAULT_SEED)
@@ -591,9 +633,9 @@ def with_h_swapped(model, i):
     n = model.algebra.size
     x = i % n
     y = (x + 1 + i % (n - 1)) % n
-    h = dict(model.h)
+    h = list(model.h)
     h[x], h[y] = h[y], h[x]
-    return model._replace(h=h)
+    return model._replace(h=tuple(h))
 
 
 def test_order_reflection_matches_scalar_oracle(oracle_models):
@@ -607,30 +649,3 @@ def test_order_reflection_matches_scalar_oracle(oracle_models):
         outcomes.add(holds)
     assert outcomes == {True, False}
 
-
-def test_mv_maps_are_read_only():
-    mv = luka_chain(2)
-    a = mv.elements[1]
-    with pytest.raises(TypeError):
-        mv.plus_map[(a, a)] = mv.zero
-    with pytest.raises(TypeError):
-        mv.neg_map[a] = mv.zero
-    # the carrier keeps a copy: changing the dict it was built from is not seen
-    plus = dict(mv.plus_map)
-    copy = FiniteMV(mv.elements, plus, mv.neg_map, mv.zero, mv.one)
-    plus[(a, a)] = mv.zero
-    assert copy.plus(a, a) == mv.one
-
-
-def test_changed_copies_get_their_own_tables(oracle_models):
-    for i, (model, _) in enumerate(oracle_models):
-        mv = model.mv
-        tables = mv.tables
-        for bad in one_cell_changed(mv, i):
-            index, P, N = bad.tables
-            assert (P, N) != tables[1:]
-            assert index == tables[0]
-            for (a, b), s in bad.plus_map.items():
-                assert P[index[a]][index[b]] == index[s]
-            assert N == [index[bad.neg(a)] for a in bad.elements]
-        assert mv.tables is tables

@@ -99,15 +99,15 @@ def indicators_by_triples(n):
 
 def mv_by_triples(mv):
     labels = [str(e) for e in mv.elements]
-    pos = {e: labels[i] for i, e in enumerate(mv.elements)}
+    P, N = mv.P, mv.N
     sums = [
-        [pos[a], pos[b], pos[mv.plus(a, b)]]
-        for a in mv.elements
-        for b in mv.elements
+        [labels[a], labels[b], labels[P[a][b]]]
+        for a in range(len(labels))
+        for b in range(len(labels))
         # a <= b' in the MV order: a' + b' = 1
-        if mv.plus(mv.neg(a), mv.neg(b)) == mv.one
+        if P[N[a]][N[b]] == mv.one
     ]
-    return validate(labels, pos[mv.zero], pos[mv.one], sums)
+    return validate(labels, labels[mv.zero], labels[mv.one], sums)
 
 
 def shuffle_by_permutation(alg, rng):
