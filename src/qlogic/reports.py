@@ -31,14 +31,26 @@ def digest_file(path: str) -> tuple[str, bytes]:
 
     Reads at most MAX_INPUT_BYTES + 1 bytes, so an endless input ends the
     read too; ValueError if the file is larger than MAX_INPUT_BYTES.
+
+    The hash is CPython's built-in SHA-256 (`_sha2` on 3.12+, `_sha256`
+    before), which gives hashlib's digest without loading OpenSSL's
+    libcrypto: that library is about 3.5 MB resident, more than a command
+    needs above the bare interpreter. hashlib is the fallback on a build
+    without the built-in hashes. Nothing is imported until a file is read.
     """
-    import hashlib  # here, so that commands reading no file do not load it
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     with open(path, "rb") as handle:
         data = handle.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
         raise ValueError(f"input is larger than {MAX_INPUT_BYTES} bytes")
-    return hashlib.sha256(data).hexdigest(), data
+    return sha256(data).hexdigest(), data
 
 
 def make_report(

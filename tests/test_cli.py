@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import catalog, mv, states
+from qlogic import catalog, mv, reports, states
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA, render_text
 from test_catalog import complete_quadrilateral, grid, stateless_pasting
@@ -411,6 +411,42 @@ def test_input_digest_is_the_file_digest(bp2_file):
     assert proc.returncode == EXIT_OK
     expected = hashlib.sha256(Path(bp2_file).read_bytes()).hexdigest()
     assert last_json(proc.stdout)["input_digest"] == expected
+    assert reports.digest_file(bp2_file)[0] == expected
+
+
+@pytest.mark.parametrize("size", [0, 1, MAX_INPUT_BYTES, MAX_INPUT_BYTES + 1])
+def test_digest_file_is_hashlib_sha256(tmp_path, size):
+    data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if size > MAX_INPUT_BYTES:
+        with pytest.raises(ValueError, match="larger than"):
+            reports.digest_file(str(path))
+    else:
+        assert reports.digest_file(str(path)) == (hashlib.sha256(data).hexdigest(), data)
+
+
+def test_digest_file_falls_back_to_hashlib(bp2_file):
+    """With the built-in SHA-256 modules blocked, hashlib computes the digest."""
+    src = str(Path(qlogic.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from qlogic.reports import digest_file\n"
+        "digest, data = digest_file(sys.argv[1])\n"
+        "loaded = 'hashlib' in sys.modules\n"
+        "import hashlib\n"
+        "print(loaded, digest == hashlib.sha256(data).hexdigest())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, bp2_file],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_catalog_deeply_nested_spec():
@@ -804,7 +840,8 @@ LAYER_MODULES = {"qlogic.catalog", "qlogic.cloning", "qlogic.mv", "qlogic.states
         (["states", "{file}"], {"qlogic.cloning", "qlogic.mv", "fractions"}),
         (["clone-search", "{file}", "--all"], {"fractions"}),
         (["hidden", "{file}"], {"fractions"}),
-        (["catalog", "mo(2)"], {"hashlib"}),
+        # catalog reads no file, so it loads no hash at all
+        (["catalog", "mo(2)"], {"_sha2", "_sha256"}),
     ],
     ids=["validate", "analyze", "states", "clone-search", "hidden", "catalog"],
 )
@@ -828,7 +865,9 @@ def test_commands_import_only_what_they_run(bp2_file, argv, absent):
     assert proc.returncode == 0
     loaded = set(proc.stderr.split())
     assert "qlogic.cli" in loaded
-    assert sorted(loaded & (absent | {"dataclasses"})) == []
+    # no command loads OpenSSL's libcrypto: file commands digest their
+    # input with CPython's built-in SHA-256
+    assert sorted(loaded & (absent | {"dataclasses", "hashlib", "_hashlib"})) == []
 
 
 def test_hidden_seed_defaults_to_mv_default_seed(capsys, bp2_file):
