@@ -15,6 +15,7 @@ runs when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -41,10 +42,13 @@ def _read(path: str) -> tuple[str, str]:
         raise algebra.MalformedTable(f"cannot read {path}: {exc}") from exc
 
 
-def _write(text: str) -> None:
-    """Print to stdout; if the reader has gone, drop the output and go on."""
+@contextlib.contextmanager
+def _stdout():
+    """sys.stdout, flushed at the end; if the reader has gone, the rest of
+    the output is dropped and the command goes on to its exit code."""
     try:
-        print(text, flush=True)
+        yield sys.stdout
+        sys.stdout.flush()
     except BrokenPipeError:
         # stdout stays broken: point it at devnull so that the flush at
         # interpreter exit cannot raise again, and keep the exit code
@@ -184,7 +188,8 @@ def cmd_catalog(args) -> int:
         results, code = {"error": str(exc)}, EXIT_BAD_INPUT
     else:
         if not args.output:
-            _write(alg.to_json())
+            with _stdout() as out:
+                print(alg.to_json(), file=out)
             return EXIT_OK
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -195,7 +200,8 @@ def cmd_catalog(args) -> int:
         else:
             results = {"spec": args.spec, "size": alg.size, "written": args.output}
             code = EXIT_OK
-    _write(reports.emit(reports.make_report("catalog", results=results), args.format))
+    with _stdout() as out:
+        reports.emit(reports.make_report("catalog", results=results), args.format, out)
     return code
 
 
@@ -276,7 +282,8 @@ def main(argv=None) -> int:
         results, code = args.func(alg, args)
         seed = getattr(args, "seed", None)  # read after hidden fills it in
     doc = reports.make_report(args.command, digest, seed, results)
-    _write(reports.emit(doc, args.format))
+    with _stdout() as out:
+        reports.emit(doc, args.format, out)
     return code
 
 

@@ -13,31 +13,50 @@ from .algebra import FiniteEffectAlgebra
 from . import catalog
 
 
-def _random_spec(rng: random.Random, budget: int) -> FiniteEffectAlgebra | None:
+def _build(built: dict, name: str, *args):
+    """(spec, algebra) of the catalog constructor `name` on args.
+
+    Each arg is an int or a (spec, algebra) pair drawn earlier. The spec is
+    the string `catalog.build_spec` reads for the same construction, and
+    the algebra is None if the construction exceeds a bound. `built` maps
+    each spec to its outcome, so a construction drawn again in one call of
+    random_algebra or random_algebras is not built or validated again.
+    """
+    spec = f"{name}({','.join(a[0] if isinstance(a, tuple) else str(a) for a in args)})"
+    if spec not in built:
+        make = getattr(catalog, name)
+        try:
+            built[spec] = make(*(a[1] if isinstance(a, tuple) else a for a in args))
+        except catalog.BoundExceeded:
+            built[spec] = None
+    return spec, built[spec]
+
+
+def _random_spec(rng: random.Random, budget: int, built: dict):
+    """A random (spec, algebra) pair from _build, or None if it is too large."""
     choice = rng.randrange(6)
     if choice == 0:
-        alg = catalog.chain(rng.randint(1, 4))
+        drawn = _build(built, "chain", rng.randint(1, 4))
     elif choice == 1:
-        alg = catalog.boolean_powerset(rng.randint(1, 3))
+        drawn = _build(built, "boolean_powerset", rng.randint(1, 3))
     elif choice == 2:
-        alg = catalog.mo(rng.randint(1, 3))
+        drawn = _build(built, "mo", rng.randint(1, 3))
     elif choice == 3 and budget >= 9:
-        a = _random_spec(rng, 3) or catalog.chain(2)
-        b = _random_spec(rng, budget // max(a.size, 1)) or catalog.chain(1)
-        try:
-            alg = catalog.product(a, b)
-        except catalog.BoundExceeded:
-            return None
+        a = _random_spec(rng, 3, built) or _build(built, "chain", 2)
+        b = _random_spec(rng, budget // max(a[1].size, 1), built) or _build(
+            built, "chain", 1
+        )
+        drawn = _build(built, "product", a, b)
     elif choice == 4 and budget >= 6:
-        a = _random_spec(rng, budget - 2) or catalog.chain(2)
-        b = _random_spec(rng, budget - a.size + 2) or catalog.chain(2)
-        try:
-            alg = catalog.horizontal_sum(a, b)
-        except catalog.BoundExceeded:
-            return None
+        a = _random_spec(rng, budget - 2, built) or _build(built, "chain", 2)
+        b = _random_spec(rng, budget - a[1].size + 2, built) or _build(
+            built, "chain", 2
+        )
+        drawn = _build(built, "horizontal_sum", a, b)
     else:
-        alg = catalog.chain(rng.randint(1, min(4, budget - 1)))
-    return alg if alg.size <= budget else None
+        drawn = _build(built, "chain", rng.randint(1, min(4, budget - 1)))
+    alg = drawn[1]
+    return drawn if alg is not None and alg.size <= budget else None
 
 
 def shuffle_carrier(
@@ -58,17 +77,27 @@ def shuffle_carrier(
 
 def random_algebra(rng: random.Random, max_size: int = 10) -> FiniteEffectAlgebra:
     """One random valid algebra with at most max_size elements."""
+    return _draw(rng, max_size, {})
+
+
+def random_algebras(seed: int, count: int, max_size: int = 10):
+    """count random valid algebras from random.Random(seed), each a new object.
+
+    A construction drawn again reuses the algebra built for it earlier in
+    the call; only the carrier shuffle is new.
+    """
+    rng = random.Random(seed)
+    built: dict = {}
+    return [_draw(rng, max_size, built) for _ in range(count)]
+
+
+def _draw(rng: random.Random, max_size: int, built: dict) -> FiniteEffectAlgebra:
     if max_size < 2:
         # refused before any draw
         raise ValueError(
             f"max_size must be at least 2, the smallest algebra's size; got {max_size}"
         )
     while True:
-        alg = _random_spec(rng, max_size)
-        if alg is not None:
-            return shuffle_carrier(alg, rng)
-
-
-def random_algebras(seed: int, count: int, max_size: int = 10):
-    rng = random.Random(seed)
-    return [random_algebra(rng, max_size) for _ in range(count)]
+        drawn = _random_spec(rng, max_size, built)
+        if drawn is not None:
+            return shuffle_carrier(drawn[1], rng)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from . import __version__
 
@@ -94,7 +95,22 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def emit(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2)
-    return render_text(doc)
+# json's encoder yields a piece per key, value and separator, and each write
+# to a write-through stdout (PYTHONUNBUFFERED=1) is a system call, so the
+# pieces are joined and written EMIT_BATCH at a time
+EMIT_BATCH = 1024
+
+
+def emit(doc: dict, fmt: str, out) -> None:
+    """Write the report and a newline to the text stream out.
+
+    JSON is the text of json.dumps(doc, indent=2), encoded piece by piece
+    as it is written, so the whole text is never held in memory at once.
+    """
+    if fmt != "json":
+        out.write(render_text(doc) + "\n")
+        return
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := list(islice(pieces, EMIT_BATCH)):
+        out.write("".join(batch))
+    out.write("\n")

@@ -1,6 +1,8 @@
 """Core algebra layer: validation, derived order, structural predicates."""
 
 import gc
+import hashlib
+import json
 import random
 import weakref
 
@@ -389,6 +391,40 @@ def test_fuzz_refuses_a_size_cap_below_two(max_size):
 
 def test_fuzz_at_the_smallest_size_cap():
     assert [alg.size for alg in random_algebras(seed=1, count=20, max_size=2)] == [2] * 20
+
+
+# SHA-256 of the JSON lines of random_algebras(seed, count, max_size), one
+# algebra document per line, as the sweep benchmark writes them
+PINNED_FUZZ_DOCUMENTS = {
+    (1, 2000, 10): "36044fcd6f71042c9d9533866ab7846a9e04a0ab65a1b394da9bbcf11669b122",
+    (7, 2000, 10): "756b828c618bcca0e8f6a69825c6dae9b8afe95eb6085159eb848c11fe6ee575",
+    (202, 2000, 10): "72e55f9c5ad8855c469ac1bef984fc15c4401cdb6b63f0c7fa217b0c2aba621a",
+    (202, 30, 16): "02dc538be3a343fb39b51ca897831890cbfe7fc7c0bf1fcc73e1f6b5cacc80a5",
+    (1, 20, 2): "3867183c20efce5ea76498e724076d37d7f379b4ea4968e4bd99d206302f7d32",
+}
+
+
+@pytest.mark.parametrize("seed, count, max_size", sorted(PINNED_FUZZ_DOCUMENTS))
+def test_fuzz_documents_pinned(seed, count, max_size):
+    algs = random_algebras(seed, count, max_size)
+    assert len({id(alg) for alg in algs}) == count
+    text = "".join(json.dumps(alg.to_json_dict()) + "\n" for alg in algs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_FUZZ_DOCUMENTS[seed, count, max_size]
+
+
+def test_fuzz_builds_each_construction_once(monkeypatch):
+    calls = []
+    for name in ("chain", "boolean_powerset", "mo", "product", "horizontal_sum"):
+
+        def record(*args, build=getattr(catalog, name), name=name):
+            calls.append((name, tuple(a if isinstance(a, int) else a.to_json() for a in args)))
+            return build(*args)
+
+        monkeypatch.setattr(catalog, name, record)
+    random_algebras(seed=1, count=2000, max_size=10)
+    # 4,031 constructor calls before constructions were reused
+    assert len(calls) == len(set(calls)) == 243
 
 
 def test_cancellativity():

@@ -371,17 +371,22 @@ def test_catalog_spec_with_bad_arguments(capsys, spec, error):
     assert error in last_json(out)["results"]["error"]
 
 
-def run_process(*argv, stdout=subprocess.PIPE, stdin_text=None):
-    """The CLI in a fresh interpreter, so an uncaught error prints a traceback."""
+def cli_env():
+    """The environment with this qlogic first on PYTHONPATH."""
     src = str(Path(qlogic.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_process(*argv, stdout=subprocess.PIPE, stdin_text=None):
+    """The CLI in a fresh interpreter, so an uncaught error prints a traceback."""
     return subprocess.run(
         [sys.executable, "-m", "qlogic.cli", *argv],
         input=stdin_text,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=cli_env(),
         timeout=60,
     )
 
@@ -475,6 +480,64 @@ def test_closed_stdout_exits_quietly(bp2_file):
         os.close(write_end)
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_ABORTED)
+
+
+@pytest.fixture
+def bp2_cubed_file(tmp_path):
+    # a Boolean carrier whose clone-search --all report is about 456 KB,
+    # many batches and several times a pipe's 64 KiB buffer
+    spec = "product(boolean_powerset(2),boolean_powerset(2),boolean_powerset(2))"
+    path = tmp_path / "bp2_cubed.json"
+    path.write_text(catalog.build_spec(spec).to_json() + "\n")
+    return str(path)
+
+
+class RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_json_report_is_written_in_batches():
+    rows = [[i, str(i)] for i in range(800)]
+    doc = reports.make_report("states", results={"rows": rows})
+    pieces = len(list(json.JSONEncoder(indent=2).iterencode(doc)))
+    assert pieces > 2 * reports.EMIT_BATCH
+    out = RecordingStream()
+    reports.emit(doc, "json", out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    # one write per batch of pieces, then the newline
+    assert len(out.writes) == -(-pieces // reports.EMIT_BATCH) + 1
+
+
+def test_streamed_cli_report_is_the_indented_dump(capsys, bp2_cubed_file):
+    code, out = run(capsys, "clone-search", bp2_cubed_file, "--all", "--format", "json")
+    assert code == EXIT_OK
+    assert len(out) > 400_000
+    assert out == json.dumps(last_json(out), indent=2) + "\n"
+
+
+def test_reader_closing_mid_report_exits_quietly(bp2_cubed_file):
+    # the reader takes the first 4 KB and closes the pipe, so a later write
+    # of the report fails with a broken pipe
+    argv = ["clone-search", bp2_cubed_file, "--all", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "qlogic.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    ) as proc:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b'{\n  "command": "clone-search"')
+    assert stderr == b""
+    assert code == EXIT_OK
 
 
 def _bad_input_file(tmp_path, kind):
