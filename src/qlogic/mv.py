@@ -78,7 +78,8 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
     its index tables; associativity compares the row P[P[i][j]] with
     a + (b + c) for all c at once and walks c only in a row that differs.
     A SampledMV is probed through its callables: its elements and pairs are
-    the first components of the sampled triples.
+    the first components of the sampled triples, and triples_checked counts
+    the distinct triples among the sample_budget draws.
     """
     if isinstance(carrier, FiniteMV):
         elems, P, N, Z, U = carrier
@@ -139,7 +140,7 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
     return MVReport(
         passed=not violations,
         mode="sampled",
-        triples_checked=sample_budget,
+        triples_checked=len(triples),
         violations=tuple(violations),
         seed=seed,
     )

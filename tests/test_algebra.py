@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,6 @@ from qlogic.algebra import (
     SupplementMissing,
     SupplementNotUnique,
     UnitIsotropic,
-    ValidationError,
     ZeroHasNoIndex,
     _check_structure,
     _derive,
@@ -50,24 +50,7 @@ from qlogic.algebra import (
 )
 from qlogic.fuzz import random_algebra, random_algebras, shuffle_carrier
 from qlogic.mv import find_chain_decomposition
-from test_catalog import complete_quadrilateral, grid, random_pasting_blocks
-
-
-def catalog_suite():
-    return [
-        catalog.boolean_powerset(1),
-        catalog.boolean_powerset(2),
-        catalog.boolean_powerset(3),
-        catalog.chain(2),
-        catalog.chain(4),
-        catalog.mo(1),
-        catalog.mo(2),
-        catalog.wright_triangle(),
-        catalog.product(catalog.chain(2), catalog.chain(2)),
-        catalog.horizontal_sum(
-            catalog.boolean_powerset(2), catalog.boolean_powerset(2)
-        ),
-    ]
+from corpus import CORE, upto
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +175,8 @@ def test_mo2_is_orthoalgebra_by_scan():
 # order, meets, joins
 
 
-def test_zero_below_everything():
-    for alg in catalog_suite():
+def test_zero_below_everything(corpus):
+    for _, _, alg in corpus:
         lo = derive_order(alg).leq
         assert all(lo[alg.zero][p] and lo[p][alg.unit] for p in alg.elements())
 
@@ -258,8 +241,8 @@ def test_chain2_h_not_sharp():
     assert not is_sharp(alg, alg.index("1/2"))
 
 
-def test_bounds_always_sharp():
-    for alg in catalog_suite():
+def test_bounds_always_sharp(corpus):
+    for _, _, alg in corpus:
         assert is_sharp(alg, alg.zero)
         assert is_sharp(alg, alg.unit)
 
@@ -279,8 +262,8 @@ def test_chain3_single_atom():
     assert [alg.labels[p] for p in atoms(alg)] == ["1/3"]
 
 
-def test_every_finite_algebra_atomic():
-    for alg in catalog_suite():
+def test_every_finite_algebra_atomic(corpus):
+    for _, _, alg in corpus:
         assert is_atomic(alg)
 
 
@@ -309,8 +292,8 @@ def test_chains_archimedean(d):
 # compatibility, coherence, Boolean-ness
 
 
-def test_self_compatibility():
-    for alg in catalog_suite():
+def test_self_compatibility(corpus):
+    for alg in upto(corpus, caps=CORE):
         for p in alg.elements():
             assert (alg.zero, alg.zero, p) in are_compatible(alg, p, p)
 
@@ -360,8 +343,8 @@ def test_chain2_not_boolean():
     assert not is_boolean(catalog.chain(2))
 
 
-def test_structure_report_flags_consistent():
-    for alg in catalog_suite():
+def test_structure_report_flags_consistent(corpus):
+    for alg in upto(corpus, caps=CORE):
         rep = structure_report(alg)
         assert rep.is_effect_algebra
         if rep.is_boolean:
@@ -371,11 +354,7 @@ def test_structure_report_flags_consistent():
 
 
 # ---------------------------------------------------------------------------
-# cross-cutting invariants, on the catalog and on fuzzed tables
-
-
-def fuzz_suite():
-    return random_algebras(seed=101, count=40, max_size=10)
+# cross-cutting invariants, on the corpus
 
 
 @pytest.mark.parametrize("max_size", (1, 0, -3))
@@ -413,6 +392,26 @@ def test_fuzz_documents_pinned(seed, count, max_size):
     assert digest == PINNED_FUZZ_DOCUMENTS[seed, count, max_size]
 
 
+# SHA-256 of the corpus's algebra documents, one JSON line each, in corpus order
+PINNED_CORPUS = "30ed94cad5a4636c7f25c8aec9f649a68b68fe81cae6243076401baac4d75680"
+
+
+def test_corpus_is_pinned(corpus):
+    assert Counter(source for source, _, _ in corpus) == {
+        "catalog": 13,
+        "construction": 4,
+        "fuzz(1, 500, 10)": 500,
+        "fuzz(7, 500, 10)": 500,
+        "fuzz(202, 500, 10)": 500,
+        "fuzz(202, 30, 16)": 30,
+        "pastings(1, 500)": 301,
+        "pastings(7, 500)": 315,
+        "pastings(3, 100)": 67,
+    }
+    text = "".join(json.dumps(alg.to_json_dict()) + "\n" for _, _, alg in corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CORPUS
+
+
 def test_fuzz_builds_each_construction_once(monkeypatch):
     calls = []
     for name in ("chain", "boolean_powerset", "mo", "product", "horizontal_sum"):
@@ -427,8 +426,8 @@ def test_fuzz_builds_each_construction_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 243
 
 
-def test_cancellativity():
-    for alg in catalog_suite() + fuzz_suite():
+def test_cancellativity(corpus):
+    for _, _, alg in corpus:
         for a in alg.elements():
             seen = {}
             for x in alg.elements():
@@ -442,16 +441,16 @@ def test_cancellativity():
                     seen[s] = x
 
 
-def test_supplement_involution():
-    for alg in catalog_suite() + fuzz_suite():
+def test_supplement_involution(corpus):
+    for _, _, alg in corpus:
         supp = derive_order(alg).supplement
         for p in alg.elements():
             assert supp[supp[p]] == p
             assert alg.table[p][supp[p]] == alg.unit
 
 
-def test_orthogonality_implies_order_bound():
-    for alg in catalog_suite() + fuzz_suite():
+def test_orthogonality_implies_order_bound(corpus):
+    for _, _, alg in corpus:
         order = derive_order(alg)
         for p in alg.elements():
             for q in alg.elements():
@@ -460,18 +459,17 @@ def test_orthogonality_implies_order_bound():
                     assert order.leq[q][order.supplement[p]]
 
 
-def test_sharpness_dichotomy():
+def test_sharpness_dichotomy(corpus):
     # orthoalgebra iff every element is sharp, both sides computed independently
-    for alg in catalog_suite() + fuzz_suite():
+    for _, _, alg in corpus:
         ortho, _ = is_orthoalgebra(alg)
         all_sharp = all(is_sharp(alg, p) for p in alg.elements())
         assert ortho == all_sharp
 
 
-def test_join_coincides_with_sum_when_orthogonal():
+def test_join_coincides_with_sum_when_orthogonal(corpus):
     # an orthoalgebra law; unsharp algebras break it (h v h = h but h+h = 1)
-    suite = [a for a in catalog_suite() + fuzz_suite() if is_orthoalgebra(a)[0]]
-    for alg in suite:
+    for alg in [a for _, _, a in corpus if is_orthoalgebra(a)[0]]:
         for p in alg.elements():
             for q in alg.elements():
                 s = alg.table[p][q]
@@ -481,18 +479,14 @@ def test_join_coincides_with_sum_when_orthogonal():
                         assert j == s
 
 
-def test_boolean_deciders_agree_on_fuzz():
+def test_boolean_deciders_agree_on_fuzz(corpus):
     # is_boolean raises internally if the two deciders disagree
-    for alg in random_algebras(seed=202, count=30, max_size=16):
+    for alg in upto(corpus, source="fuzz"):
         is_boolean(alg)
 
 
 # ---------------------------------------------------------------------------
-# the derived-structure record against brute-force oracles
-
-
-def record_suite():
-    return catalog_suite() + random_algebras(seed=202, count=30, max_size=16)
+# the derived-structure record against brute-force oracles, on the core
 
 
 def brute_meet(alg, p, q):
@@ -515,8 +509,8 @@ def brute_join(alg, p, q):
     return None
 
 
-def test_meet_join_tables_match_brute_force():
-    for alg in record_suite():
+def test_meet_join_tables_match_brute_force(corpus):
+    for alg in upto(corpus, caps=CORE):
         order = derive_order(alg)
         for p in alg.elements():
             for q in alg.elements():
@@ -524,8 +518,9 @@ def test_meet_join_tables_match_brute_force():
                 assert order.join[p][q] == brute_join(alg, p, q)
 
 
-def test_incompatible_pairs_match_are_compatible():
-    for alg in record_suite():
+def test_incompatible_pairs_match_are_compatible(corpus):
+    # slice: the core's algebras of at most 16 elements
+    for alg in upto(corpus, 16, CORE):
         expected = tuple(
             (p, q)
             for p in alg.elements()
@@ -565,7 +560,7 @@ def test_algebra_collected_after_use():
     assert freed_by_refcount
 
 
-def test_isomorphism_search_positive_and_negative():
+def test_isomorphism_search_positive_and_negative(corpus):
     assert find_isomorphism(catalog.mo(1), catalog.boolean_powerset(2)) is not None
     assert find_isomorphism(catalog.mo(2), catalog.boolean_powerset(2)) is None
     assert find_isomorphism(catalog.chain(1), catalog.boolean_powerset(1)) is not None
@@ -577,7 +572,7 @@ def test_isomorphism_search_positive_and_negative():
     two_chains = catalog.horizontal_sum(catalog.chain(2), catalog.chain(2))
     assert find_isomorphism(bp2, two_chains) is None
     rng = random.Random(5)
-    for alg in random_algebras(seed=5, count=6):
+    for alg in upto(corpus, source="fuzz")[::250]:
         shuffled = shuffle_carrier(alg, rng)
         m = find_isomorphism(alg, shuffled)
         assert sorted(m.values()) == list(shuffled.elements())
@@ -589,25 +584,7 @@ def test_isomorphism_search_positive_and_negative():
 
 
 # ---------------------------------------------------------------------------
-# the list of defined sums, and the walk over it, against table scans
-
-
-def scan_sums(alg):
-    """Oracle: every defined a + b = c with a <= b, from the table's upper triangle."""
-    return [
-        (a, b, alg.table[a][b])
-        for a in alg.elements()
-        for b in range(a, alg.size)
-        if alg.table[a][b] is not None
-    ]
-
-
-def test_sums_match_upper_triangle_scan():
-    suite = catalog_suite()
-    for seed in (1, 7, 202):
-        suite += random_algebras(seed=seed, count=100)
-    for alg in suite:
-        assert list(derive_order(alg).sums) == scan_sums(alg), alg.labels
+# coherence against a table scan
 
 
 def scan_coherence(alg):
@@ -763,25 +740,6 @@ def generator_derive(alg):
     )
 
 
-def random_pastings(seed, draws):
-    """The valid Greechie pastings among draws random block lists."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(draws):
-        try:
-            out.append(catalog.pasting(random_pasting_blocks(rng)))
-        except ValidationError:
-            pass
-    return out
-
-
-def replaced_path_suite():
-    suite = catalog_suite() + [grid(3, 3), complete_quadrilateral()]
-    for seed in (1, 7, 202):
-        suite += random_algebras(seed=seed, count=200)
-    return suite + random_pastings(3, 100)
-
-
 def outcome(load, *args):
     """The algebra load builds, or the class, message and witnesses it raises."""
     try:
@@ -790,8 +748,9 @@ def outcome(load, *args):
         return type(exc).__name__, str(exc), getattr(exc, "witnesses", None)
 
 
-def test_whole_row_validation_matches_scalar_oracle():
-    for alg in replaced_path_suite():
+def test_whole_row_validation_matches_scalar_oracle(corpus):
+    # slice: the core with the first 200 draws of each fuzz seed
+    for alg in upto(corpus, caps=dict(CORE, fuzz=200)):
         rows = [list(row) for row in alg.table]
         args = (alg.labels, alg.zero, alg.unit)
         assert _validate_checked(*args, rows) == scalar_validate_checked(*args, rows)
@@ -800,8 +759,8 @@ def test_whole_row_validation_matches_scalar_oracle():
         assert from_json_dict(doc) == oracle_from_json_dict(doc) == alg
 
 
-def test_whole_row_derive_matches_generator_oracle():
-    for alg in replaced_path_suite():
+def test_whole_row_derive_matches_generator_oracle(corpus):
+    for _, _, alg in corpus:
         assert _derive(alg) == generator_derive(alg), alg.labels
 
 

@@ -14,52 +14,7 @@ from qlogic.algebra import (
     is_boolean,
     is_orthoalgebra,
 )
-
-
-def grid(r, c):
-    """Greechie pasting of r row blocks and c column blocks over atoms x_ij.
-
-    Its states are the weights with every row and every column summing to 1:
-    the r x r doubly stochastic matrices when r == c, and none otherwise.
-    """
-    rows = [tuple(f"x{i}{j}" for j in range(c)) for i in range(r)]
-    columns = [tuple(f"x{i}{j}" for i in range(r)) for j in range(c)]
-    return catalog.pasting(rows + columns)
-
-
-def complete_quadrilateral():
-    """Four 3-atom blocks on six atoms, each atom in two of them (n = 14)."""
-    return catalog.pasting(
-        [("p", "q", "r"), ("p", "s", "t"), ("q", "s", "u"), ("r", "t", "u")]
-    )
-
-
-def stateless_pasting():
-    """A coherent 58-element pasting whose atom weights are forced negative.
-
-    The five 3-atom blocks c_j* partition 15 atoms, so a state's weights on
-    them sum to 5.  The four 4-atom blocks partition the same 15 atoms and z,
-    so those weights sum to 4, which forces w(z) = -1.
-    """
-    rows = [tuple(f"c{j}{i}" for i in range(3)) for j in range(5)]
-    columns = [
-        ("c10", "c20", "c30", "c40"),
-        ("c00", "c21", "c31", "c41"),
-        ("c01", "c11", "c32", "c42"),
-        ("c02", "c12", "c22", "z"),
-    ]
-    return catalog.pasting(rows + columns)
-
-
-def random_pasting_blocks(rng):
-    """Up to 5 blocks of 2-4 atoms from a pool of 3-9, pairwise sharing <= 1."""
-    pool = [f"x{i}" for i in range(rng.randint(3, 9))]
-    blocks = []
-    for _ in range(rng.randint(1, 5)):
-        block = tuple(rng.sample(pool, rng.randint(2, min(4, len(pool)))))
-        if all(len(set(block) & set(other)) <= 1 for other in blocks):
-            blocks.append(block)
-    return blocks
+from corpus import complete_quadrilateral, grid, stateless_pasting
 
 
 def test_powerset_shapes():

@@ -20,7 +20,7 @@ import qlogic
 from qlogic import catalog, mv, reports, states
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA, render_text
-from test_catalog import complete_quadrilateral, grid, stateless_pasting
+from corpus import complete_quadrilateral, grid, stateless_pasting
 
 
 @pytest.fixture

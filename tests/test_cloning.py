@@ -1,13 +1,10 @@
 """Cloning bimorphism search, witness verification, and the witness lemmas."""
 
-import random
-
 import pytest
 
 from qlogic import catalog
 from qlogic.algebra import (
     NotAnOrthoalgebra,
-    ValidationError,
     check_coherence,
     derive_order,
     is_boolean,
@@ -24,11 +21,7 @@ from qlogic.cloning import (
     meet_witness,
     verify_witness,
 )
-from qlogic.fuzz import random_algebras
-from qlogic.states import MAX_STATE_CARRIER, check_state, enumerate_vertex_states
-from test_algebra import catalog_suite
-from test_catalog import random_pasting_blocks
-from test_states import _polytope_or_message, combinatorial_vertex_states
+from corpus import CORE, upto
 
 
 def test_bp2_witness_found_and_equals_meet():
@@ -185,47 +178,33 @@ def test_compatibility_core_overlapping_sets():
     assert alg.labels[b] == "{3}"
 
 
-def test_witness_iff_boolean_small_catalog():
-    suite = [
-        catalog.boolean_powerset(2),
-        catalog.mo(1),
-        catalog.mo(2),
-        catalog.mo(3),
-        catalog.horizontal_sum(catalog.boolean_powerset(2), catalog.boolean_powerset(2)),
-        catalog.wright_triangle(),
-    ]
-    for alg in suite:
+def test_witness_iff_boolean_small_catalog(corpus):
+    for alg in upto(corpus, source="catalog") + upto(corpus, source="construction"):
         found = find_cloning_bimorphism(alg).status == "witness-found"
         assert found == is_boolean(alg)
 
 
-def test_witness_iff_boolean_on_fuzz_effect_algebras():
+def test_witness_iff_boolean_on_fuzz_effect_algebras(corpus):
     # every finite effect algebra is atomic and Archimedean, so the paper's
     # theorem reads "witness iff Boolean" on each, orthoalgebra or not
     witnesses = non_orthoalgebras = 0
-    for seed in (1, 7, 202):
-        for alg in random_algebras(seed=seed, count=500):
-            outcome = find_cloning_bimorphism(alg)
-            assert outcome.status != "aborted", alg.labels
-            found = outcome.status == "witness-found"
-            assert found == is_boolean(alg), alg.labels
-            witnesses += found
-            non_orthoalgebras += not is_orthoalgebra(alg)[0]
+    for alg in upto(corpus, source="fuzz"):
+        outcome = find_cloning_bimorphism(alg)
+        assert outcome.status != "aborted", alg.labels
+        found = outcome.status == "witness-found"
+        assert found == is_boolean(alg), alg.labels
+        witnesses += found
+        non_orthoalgebras += not is_orthoalgebra(alg)[0]
     assert witnesses > 0 and non_orthoalgebras > 0
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_witness_iff_boolean_on_random_pastings(seed):
+def test_witness_iff_boolean_on_random_pastings(corpus, seed):
     # Greechie pastings bring in orthoalgebras that are not lattices, and
     # some that are not orthomodular posets; draws validate rejects are skipped
-    rng = random.Random(seed)
-    valid = not_lattices = not_orthomodular = 0
-    for _ in range(500):
-        try:
-            alg = catalog.pasting(random_pasting_blocks(rng))
-        except ValidationError:
-            continue
-        valid += 1
+    pastings = upto(corpus, source=f"pastings({seed}, 500)")
+    not_lattices = not_orthomodular = 0
+    for alg in pastings:
         assert is_orthoalgebra(alg)[0], alg.labels
         not_lattices += any(None in row for row in derive_order(alg).meet)
         not_orthomodular += not check_coherence(alg)[0]
@@ -235,13 +214,7 @@ def test_witness_iff_boolean_on_random_pastings(seed):
         for w in outcome.witnesses:
             assert verify_witness(alg, w.table) == (True, None)
             assert check_witness_lemmas(alg, w).passed, alg.labels
-        if alg.size <= MAX_STATE_CARRIER:
-            poly = _polytope_or_message(enumerate_vertex_states, alg)
-            assert poly == _polytope_or_message(combinatorial_vertex_states, alg)
-            if not isinstance(poly, str):  # a message if there are no states
-                for v in poly.vertices:
-                    assert check_state(alg, v, poly.denominator) == [], alg.labels
-    assert valid >= 250 and not_lattices > 0 and not_orthomodular > 0
+    assert len(pastings) >= 250 and not_lattices > 0 and not_orthomodular > 0
 
 
 def test_search_deterministic():
@@ -302,8 +275,8 @@ def scan_biadditivity(alg, table):
     return True, None
 
 
-def test_first_violation_matches_table_scan():
-    booleans = [alg for alg in catalog_suite() if is_boolean(alg)]
+def test_first_violation_matches_table_scan(corpus):
+    booleans = [alg for alg in upto(corpus, 8, source="catalog") if is_boolean(alg)]
     assert len(booleans) >= 4
     for alg in booleans:
         meets = meet_witness(alg).table
@@ -444,20 +417,13 @@ def rescan_search(alg, enumerate_all=False, node_budget=DEFAULT_NODE_BUDGET):
     return status, nodes, tables
 
 
-@pytest.fixture(scope="module")
-def oracle_suite():
-    # bp(4) explores 12 nodes, so a 7-node budget aborts on it
-    suite = catalog_suite() + [catalog.boolean_powerset(4)]
-    for seed in (1, 7, 202):
-        suite += random_algebras(seed, 100)
-    return suite
-
-
 @pytest.mark.parametrize("node_budget", [3, 7, DEFAULT_NODE_BUDGET])
 @pytest.mark.parametrize("enumerate_all", [False, True])
-def test_search_matches_rescan_oracle(oracle_suite, enumerate_all, node_budget):
+def test_search_matches_rescan_oracle(corpus, enumerate_all, node_budget):
+    # slice: the core's algebras of at most 20 elements; bp(4) explores 12
+    # nodes, so a 7-node budget aborts on it
     statuses = set()
-    for alg in oracle_suite:
+    for alg in upto(corpus, 20, CORE):
         outcome = find_cloning_bimorphism(alg, enumerate_all, node_budget)
         assert (
             outcome.status,

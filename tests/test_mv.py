@@ -9,7 +9,6 @@ import pytest
 from qlogic import catalog
 from qlogic.algebra import derive_order, find_isomorphism
 from qlogic.cloning import find_cloning_bimorphism, meet_witness
-from qlogic.fuzz import random_algebras
 from qlogic.mv import (
     DEFAULT_SEED,
     MAX_MIXTURE_WEIGHT,
@@ -31,16 +30,14 @@ from qlogic.mv import (
     verify_hidden_variable,
 )
 from qlogic.states import StatePolytope, enumerate_vertex_states
-from test_algebra import catalog_suite
-from test_states import fraction_vertices, integer_polytope
-
-
-def luka_chain(steps):
-    """Lukasiewicz structure on {0, 1/steps, ..., 1} with truncated sum."""
-    ks = range(steps + 1)
-    P = tuple(tuple(min(i + j, steps) for j in ks) for i in ks)
-    N = tuple(steps - i for i in ks)
-    return FiniteMV(tuple(Fraction(k, steps) for k in ks), P, N, 0, steps)
+from corpus import (
+    CORE,
+    fraction_vertices,
+    hidden_variable_models,
+    integer_polytope,
+    luka_chain,
+    upto,
+)
 
 
 def element_ops(mv):
@@ -98,12 +95,12 @@ def test_chain_ideal_predicate():
     assert chain_interval(catalog.chain(2), catalog.chain(2).unit) is not None
 
 
-def test_chain_interval_is_increasing():
+def test_chain_interval_is_increasing(corpus):
     alg = catalog.chain(3)
     assert chain_interval(alg, alg.unit) == [
         alg.index(x) for x in ("0", "1/3", "2/3", "1")
     ]
-    for alg in random_algebras(seed=3, count=100):
+    for alg in upto(corpus, caps=CORE):
         lo = derive_order(alg).leq
         for p in alg.elements():
             interval = chain_interval(alg, p)
@@ -182,14 +179,14 @@ def product_by_maps(components):
     )
 
 
-def test_product_mv_matches_dict_oracle(oracle_models):
+def test_product_mv_matches_dict_oracle(models):
     # mixed radix over three components of sizes 2, 3 and 4
     components = [luka_chain(1), luka_chain(2), luka_chain(3)]
     prod = product_mv(components)
     assert len(prod.elements) == 24
     assert prod == product_by_maps(components)
     assert check_mv_axioms(prod).passed
-    for model, _ in oracle_models:
+    for model, _ in models:
         assert model.mv == product_by_maps(model.components)
 
 
@@ -370,30 +367,6 @@ def fraction_verify_hidden_variable(
     )
 
 
-def hidden_variable_models(algebras, limit=None):
-    """(model, polytope) for each algebra with a witness and a decomposition."""
-    out = []
-    for alg in algebras:
-        outcome = find_cloning_bimorphism(alg)
-        decomps = find_chain_decomposition(alg) if outcome.witnesses else []
-        if decomps:
-            model = hidden_variable_construct(alg, outcome.witnesses[0], decomps[0])
-            out.append((model, enumerate_vertex_states(alg)))
-            if len(out) == limit:
-                break
-    return out
-
-
-@pytest.fixture(scope="module")
-def oracle_models():
-    models = hidden_variable_models(catalog_suite())
-    for seed in (1, 7, 202):
-        fuzz = hidden_variable_models(random_algebras(seed, 400), limit=100)
-        assert len(fuzz) == 100
-        models += fuzz
-    return models
-
-
 def perturbed(model, polytope, i):
     """One vertex moved by +-1/3 at one element and by 1/2 at the next, so
     the common denominator (6) is not the largest one; every third model
@@ -410,17 +383,17 @@ def perturbed(model, polytope, i):
     return model, poly
 
 
-def test_integer_verification_matches_fraction_oracle(oracle_models):
-    for model, poly in oracle_models:
+def test_integer_verification_matches_fraction_oracle(models):
+    for model, poly in models:
         rep = verify_hidden_variable(model, poly)
         assert rep.passed
         assert rep == fraction_verify_hidden_variable(model, poly)
 
 
-def test_integer_verification_matches_oracle_on_perturbed_polytopes(oracle_models):
+def test_integer_verification_matches_oracle_on_perturbed_polytopes(models):
     kinds = ("disagrees", "at the unit", "negative value", "additivity", "reflection")
     seen = set()
-    for i, (model, poly) in enumerate(oracle_models):
+    for i, (model, poly) in enumerate(models):
         model, poly = perturbed(model, poly, i)
         rep = verify_hidden_variable(model, poly, seed=i)
         assert rep == fraction_verify_hidden_variable(model, poly, seed=i)
@@ -428,11 +401,11 @@ def test_integer_verification_matches_oracle_on_perturbed_polytopes(oracle_model
     assert seen == set(kinds)
 
 
-def test_verification_leaves_the_induced_algebra_underived():
+def test_verification_leaves_the_induced_algebra_underived(models):
     # check_state reads the induced algebra's sums from its table, so no
-    # DerivedStructure is built for it, on passing and on failing states
-    models = hidden_variable_models(catalog_suite() + random_algebras(3, 60))
-    for i, (model, poly) in enumerate(models):
+    # DerivedStructure is built for it, on passing and on failing states;
+    # slice: every fifth model
+    for i, (model, poly) in enumerate(models[::5]):
         for case in ((model, poly), perturbed(model, poly, i)):
             verify_hidden_variable(*case)
             assert "_derived" not in case[0].induced.__dict__
@@ -447,17 +420,20 @@ def test_verification_without_vertices():
     assert (rep.states_checked, rep.mixtures_checked, rep.violations) == (0, 0, ())
 
 
-def test_verification_without_mixtures_matches_oracle(oracle_models):
+def test_verification_without_mixtures_matches_oracle(models):
     # the vertex lanes alone, on the plain and the perturbed polytopes
-    for i, (model, poly) in enumerate(oracle_models):
+    for i, (model, poly) in enumerate(models):
         for case in ((model, poly), perturbed(model, poly, i)):
             rep = verify_hidden_variable(*case, mixtures=0)
             assert rep == fraction_verify_hidden_variable(*case, mixtures=0)
             assert rep.mixtures_checked == 0
 
 
-def boolean_models():
-    return hidden_variable_models(catalog.boolean_powerset(k) for k in (2, 3, 4))
+def catalog_models(corpus):
+    """(model, polytope) for the catalog's witness algebras with two or more
+    vertex states: bp(2), bp(3), bp(4) and mo(1)."""
+    models = hidden_variable_models(upto(corpus, source="catalog"))
+    return [(model, poly) for model, poly in models if len(poly.vertices) > 1]
 
 
 def moved_vertices(poly, moves):
@@ -469,10 +445,10 @@ def moved_vertices(poly, moves):
     return integer_polytope(vertices, poly.affine_dimension)
 
 
-def test_verification_at_a_large_common_denominator():
+def test_verification_at_a_large_common_denominator(corpus):
     # every vertex moved 10**-12 of the way to the next is still a state
     den = 10**12
-    for model, poly in boolean_models():
+    for model, poly in catalog_models(corpus):
         vs = fraction_vertices(poly)
         moves = [
             [(y - x) / den for x, y in zip(v, vs[(i + 1) % len(vs)])]
@@ -484,10 +460,10 @@ def test_verification_at_a_large_common_denominator():
         assert rep == fraction_verify_hidden_variable(model, rescaled)
 
 
-def test_lane_width_keeps_errors_from_cancelling():
+def test_lane_width_keeps_errors_from_cancelling(corpus):
     # vertex 0 is off by 2**t/den at the unit and vertex 1 by -1/den: in lanes
     # t bits wide the two errors would cancel, so the check must still fail
-    model, poly = boolean_models()[0]
+    model, poly = catalog_models(corpus)[0]
     den, unit = 10**12, model.algebra.unit
     for t in range(80):
         moves = [[Fraction(0)] * model.algebra.size for _ in range(2)]
@@ -499,40 +475,15 @@ def test_lane_width_keeps_errors_from_cancelling():
 
 
 @pytest.mark.parametrize("mixtures", (0, 100))
-def test_negative_vertex_entry_checked_state_by_state(mixtures):
+def test_negative_vertex_entry_checked_state_by_state(corpus, mixtures):
     # 2*V0 - V1 is additive with value 1 at the unit, but negative where
     # V1 exceeds 2*V0
-    for model, poly in boolean_models():
+    for model, poly in catalog_models(corpus):
         v0, v1 = fraction_vertices(poly)[:2]
         signed = moved_vertices(poly, [[x - y for x, y in zip(v0, v1)]])
         rep = verify_hidden_variable(model, signed, mixtures=mixtures)
         assert rep == fraction_verify_hidden_variable(model, signed, mixtures=mixtures)
         assert any("negative value" in v for v in rep.violations)
-
-
-def expected_mv_failures(mv):
-    """Every failing instance of the eight identities, found independently."""
-    (plus, neg), elems = element_ops(mv), mv.elements
-    zero, one = elems[mv.zero], elems[mv.one]
-    found = set() if neg(zero) == one else {"0' != 1"}
-    for a in elems:
-        for name, lhs, rhs in (
-            ("a + a' != 1", plus(a, neg(a)), one),
-            ("a + 0 != a", plus(a, zero), a),
-            ("a'' != a", neg(neg(a)), a),
-            ("a + 1 != 1", plus(a, one), one),
-        ):
-            if lhs != rhs:
-                found.add(f"{name} at {a}")
-        for b in elems:
-            if plus(a, b) != plus(b, a):
-                found.add(f"commutativity fails on ({a}, {b})")
-            if plus(neg(plus(neg(a), b)), b) != plus(neg(plus(a, neg(b))), a):
-                found.add(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
-            for c in elems:
-                if plus(plus(a, b), c) != plus(a, plus(b, c)):
-                    found.add(f"associativity fails on ({a}, {b}, {c})")
-    return found
 
 
 def scalar_mv_report(mv):
@@ -579,13 +530,13 @@ def one_cell_changed(mv, i):
     return [mv._replace(P=tuple(map(tuple, P))), mv._replace(N=tuple(N))]
 
 
-def test_index_table_mv_check_matches_scalar_oracle(oracle_models):
+def test_index_table_mv_check_matches_scalar_oracle(models):
     kinds = (
         "0' != 1", "a + a' != 1", "a + 0 != a", "a'' != a", "a + 1 != 1",
         "commutativity", "(a'+b)'+b", "associativity",
     )
     seen = set()
-    for i, (model, _) in enumerate(oracle_models):
+    for i, (model, _) in enumerate(models):
         rep = check_mv_axioms(model.mv)
         assert rep.passed
         assert rep == scalar_mv_report(model.mv)
@@ -604,7 +555,7 @@ def test_each_failing_mv_instance_reported_once(broken):
         bad = good._replace(N=tuple(range(5)))  # not an involutive complement
     else:
         bad = good._replace(P=tuple((i,) * 5 for i in range(5)))  # not commutative
-    expected = expected_mv_failures(bad)
+    expected = set(scalar_mv_report(bad).violations)
     rep = check_mv_axioms(bad)
     assert rep.triples_checked == 5**3
     assert sorted(rep.violations) == sorted(expected)
@@ -614,7 +565,8 @@ def test_each_failing_mv_instance_reported_once(broken):
         plus, neg, elems[bad.zero], elems[bad.one], lambda rng: rng.choice(elems)
     )
     rep = check_mv_axioms(sampled)
-    assert (rep.mode, rep.triples_checked, rep.seed) == ("sampled", 1000, DEFAULT_SEED)
+    # the 1000 draws hit all 125 triples
+    assert (rep.mode, rep.triples_checked, rep.seed) == ("sampled", 125, DEFAULT_SEED)
     assert len(set(rep.violations)) == len(rep.violations)
     assert set(rep.violations) == expected
 
@@ -638,9 +590,9 @@ def with_h_swapped(model, i):
     return model._replace(h=tuple(h))
 
 
-def test_order_reflection_matches_scalar_oracle(oracle_models):
+def test_order_reflection_matches_scalar_oracle(models):
     outcomes = set()
-    for i, (model, _) in enumerate(oracle_models):
+    for i, (model, _) in enumerate(models):
         assert order_reflection_holds(model)
         assert scalar_order_reflection(model)
         swapped = with_h_swapped(model, i)

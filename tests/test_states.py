@@ -2,13 +2,12 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 from qlogic import catalog, states
 from qlogic.algebra import derive_order
-from qlogic.fuzz import random_algebras
 from qlogic.states import (
     EmptyStateSpace,
     StatePolytope,
@@ -18,8 +17,17 @@ from qlogic.states import (
     is_separating,
     monotone_under,
 )
-from test_algebra import catalog_suite, replaced_path_suite
-from test_catalog import complete_quadrilateral, grid, stateless_pasting
+from corpus import (
+    CORE,
+    complete_quadrilateral,
+    fraction_vertices,
+    grid,
+    integer_polytope,
+    padded_grid,
+    polytope_or_message,
+    stateless_pasting,
+    upto,
+)
 
 
 def _rref(rows):
@@ -57,19 +65,6 @@ def _affine_dim(vertices):
     reduced = _rref(diffs)
     assert reduced is not None
     return len(reduced[1])
-
-
-def integer_polytope(vertices, affine_dimension):
-    """The StatePolytope of vertex states given as Fractions, in their order:
-    integer rows over the least common denominator."""
-    den = lcm(*(Fraction(x).denominator for v in vertices for x in v))
-    rows = tuple(tuple(int(x * den) for x in v) for v in vertices)
-    return StatePolytope(den, rows, affine_dimension)
-
-
-def fraction_vertices(poly):
-    """The vertex states of poly, each a tuple of Fractions."""
-    return [tuple(Fraction(x, poly.denominator) for x in v) for v in poly.vertices]
 
 
 def combinatorial_vertex_states(alg):
@@ -182,35 +177,28 @@ def full_coordinate_vertex_states(alg):
     return integer_polytope(verts, _affine_dim(verts))
 
 
-def _polytope_or_message(enumerate_states, alg):
-    try:
-        return enumerate_states(alg)
-    except EmptyStateSpace as exc:
-        return str(exc)
+def states_of(polytopes, algebras=None):
+    """(alg, polytope) for each of algebras (all of polytopes by default)
+    that has states."""
+    algebras = polytopes if algebras is None else algebras
+    return [(alg, polytopes[alg]) for alg in algebras if isinstance(polytopes[alg], StatePolytope)]
 
 
-def oracle_algebras():
-    suite = [alg for alg in catalog_suite() if alg.size <= 16]
-    for seed in (1, 7, 202):
-        suite += random_algebras(seed=seed, count=100)
-    return suite
+def test_atom_coordinates_match_full_coordinate_oracle(polytopes, corpus):
+    # slice: the core's algebras of at most 10 elements, and the Wright
+    # triangle (14); the oracle's cost grows as C(n, n - rank)
+    for alg in upto(corpus, 10, CORE) + [catalog.wright_triangle()]:
+        assert polytopes[alg] == polytope_or_message(full_coordinate_vertex_states, alg), (
+            alg.labels
+        )
 
 
-def test_atom_coordinates_match_full_coordinate_oracle():
-    for alg in oracle_algebras():
-        assert _polytope_or_message(enumerate_vertex_states, alg) == (
-            _polytope_or_message(full_coordinate_vertex_states, alg)
-        ), alg.labels
-
-
-def test_double_description_matches_combinatorial_oracle():
-    suite = [alg for alg in catalog_suite() if alg.size <= 32]
-    for seed in (1, 7, 202):
-        suite += random_algebras(seed=seed, count=300)
-    for alg in suite:
-        assert _polytope_or_message(enumerate_vertex_states, alg) == (
-            _polytope_or_message(combinatorial_vertex_states, alg)
-        ), alg.labels
+def test_double_description_matches_combinatorial_oracle(polytopes, corpus):
+    # slice: every corpus algebra of at most 32 elements
+    for alg in upto(corpus, 32):
+        assert polytopes[alg] == polytope_or_message(combinatorial_vertex_states, alg), (
+            alg.labels
+        )
 
 
 def test_extreme_rays_by_double_description():
@@ -253,7 +241,6 @@ def test_grid_states_are_the_birkhoff_polytope():
     poly = enumerate_vertex_states(alg)
     assert len(poly.vertices) == 6
     assert poly.affine_dimension == 4
-    assert poly == combinatorial_vertex_states(alg)
     cells = [[alg.index(f"x{i}{j}") for j in range(3)] for i in range(3)]
     for v in poly.vertices:
         assert sorted(tuple(v[p] for p in row).index(1) for row in cells) == [0, 1, 2]
@@ -264,7 +251,6 @@ def test_complete_quadrilateral_states_do_not_separate():
     alg = complete_quadrilateral()
     poly = enumerate_vertex_states(alg)
     assert len(poly.vertices) == 3
-    assert poly == combinatorial_vertex_states(alg)
     separating, merged = is_separating(alg, poly)
     assert not separating and merged
 
@@ -286,8 +272,8 @@ def test_stateless_pastings(monkeypatch, build, message):
         enumerate_vertex_states(build())
 
 
-def test_every_element_has_an_atom_decomposition():
-    for alg in oracle_algebras():
+def test_every_element_has_an_atom_decomposition(corpus):
+    for _, _, alg in corpus:
         atoms = derive_order(alg).atoms
         dec, walk = atom_decompositions(alg)
         assert None not in dec, alg.labels
@@ -304,43 +290,6 @@ def test_every_element_has_an_atom_decomposition():
         assert sorted(reached) == list(alg.elements())
 
 
-def dot_product_vertex_states(alg):
-    """Oracle: enumerate_vertex_states with each vertex coordinate taken as
-    the dot product dec[x] . W of the atom decomposition and the atom
-    weights, as before the atom walk replaced it."""
-    dec, _ = atom_decompositions(alg)
-    m = len(dec[alg.zero])
-    rows = {dec[alg.unit] + (1,)}
-    for a, b, c in derive_order(alg).sums:
-        row = tuple(x + y - z for x, y, z in zip(dec[a], dec[b], dec[c]))
-        if any(row):
-            rows.add(row + (0,))
-    reduced = states._reduce(rows)
-    if reduced is None:
-        raise EmptyStateSpace("the additivity constraints are inconsistent")
-    base_rows, pivots = reduced
-    free = [col for col in range(m) if col not in pivots]
-    rays = states._extreme_rays(
-        len(free) + 1, [[-row[f] for f in free] + [row[-1]] for row in base_rows]
-    )
-    if not rays:
-        raise EmptyStateSpace("the state polytope is empty")
-    scale = lcm(*(row[col] for row, col in zip(base_rows, pivots)))
-    values = []
-    for ray in rays:
-        w = [0] * m
-        for f, x in zip(free, ray):
-            w[f] = scale * x
-        for row, col in zip(base_rows, pivots):
-            s = row[-1] * ray[-1] - sum(row[f] * x for f, x in zip(free, ray))
-            w[col] = scale // row[col] * s
-        values.append(states._primitive([sum(c * x for c, x in zip(d, w)) for d in dec]))
-    denominator = lcm(*(v[alg.unit] for v in values))
-    verts = sorted(tuple(denominator // v[alg.unit] * x for x in v) for v in values)
-    rank = len(states._reduce([ray + (0,) for ray in rays])[1])
-    return StatePolytope(denominator, tuple(verts), rank - 1)
-
-
 def pairwise_separating(alg, poly):
     """Oracle: is_separating with one pass over the vertices per pair."""
     merged = []
@@ -351,84 +300,27 @@ def pairwise_separating(alg, poly):
     return not merged, merged
 
 
-def replaced_path_algebras():
-    suite = catalog_suite() + [grid(3, 3), complete_quadrilateral()]
-    for seed in (1, 7, 202):
-        suite += random_algebras(seed=seed, count=100)
-    return suite
-
-
-def test_walk_coordinates_match_dot_product_oracle():
-    for alg in replaced_path_algebras():
-        assert _polytope_or_message(enumerate_vertex_states, alg) == (
-            _polytope_or_message(dot_product_vertex_states, alg)
-        ), alg.labels
-
-
-def test_column_separation_matches_pairwise_oracle():
+def test_column_separation_matches_pairwise_oracle(polytopes):
     outcomes = set()
     no_vertices = StatePolytope(1, (), 0)
-    for alg in replaced_path_algebras():
-        for poly in (enumerate_vertex_states(alg), no_vertices):
-            separating, merged = is_separating(alg, poly)
-            assert (separating, merged) == pairwise_separating(alg, poly)
-            outcomes.add((separating, poly is no_vertices))
+    for alg, poly in states_of(polytopes):
+        for case in (poly, no_vertices):
+            separating, merged = is_separating(alg, case)
+            assert (separating, merged) == pairwise_separating(alg, case)
+            outcomes.add((separating, case is no_vertices))
     # a separating and a non-separating algebra (the complete
     # quadrilateral), and the empty polytope, which merges every pair
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
-def padded_grid(pads, lead):
-    """grid(3, 3) with a new atom z_j in each of the first pads column blocks,
-    listed first in its block when lead is true (n = 36 for 2 pads, 44 for 3).
-
-    The rows and the columns each sum to 3, so the z_j sum to 0 and are 0 on
-    every state, which no equality forces one at a time: the reduced cone has
-    implicit equalities.  Listed last, all but one z_j are free atoms and the
-    y >= 0 rows carry the equalities; listed first, the z_j are pivot atoms
-    and the constraint rows carry them.
-    """
-    rows = [tuple(f"x{i}{j}" for j in range(3)) for i in range(3)]
-    columns = [tuple(f"x{i}{j}" for i in range(3)) for j in range(3)]
-    for j in range(pads):
-        columns[j] = (f"z{j}",) + columns[j] if lead else columns[j] + (f"z{j}",)
-    return catalog.pasting(columns + rows if lead else rows + columns)
-
-
-def ray_rank(rays):
-    """Oracle: the rank of the rays by Gauss-Jordan elimination, as the
-    affine dimension was taken before the implicit equalities replaced it."""
-    return len(states._reduce([ray + (0,) for ray in rays])[1])
-
-
-def test_dimension_from_implicit_equalities_matches_ray_rank(monkeypatch):
-    seen = []
-    extreme_rays = states._extreme_rays
-
-    def capture(d, constraints):
-        rays = extreme_rays(d, constraints)
-        seen.append((d, rays))
-        return rays
-
-    monkeypatch.setattr(states, "_extreme_rays", capture)
-    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
-    padded = [padded_grid(3, lead=False), padded_grid(2, lead=True)]
-    cut = []
-    for alg in replaced_path_suite() + padded:
-        seen.clear()
-        try:
-            poly = enumerate_vertex_states(alg)
-        except EmptyStateSpace:
-            continue
-        ((d, rays),) = seen
-        assert poly.affine_dimension == ray_rank(rays) - 1, alg.labels
-        if poly.affine_dimension < d - 1:
-            cut.append(alg)
-    # the padded grids' rays span less than the cone's d dimensions, and
-    # their states are still the 4-dimensional Birkhoff polytope
-    assert cut == padded
-    for alg in padded:
-        assert enumerate_vertex_states(alg).affine_dimension == 4
+def test_dimension_from_implicit_equalities_matches_vertex_hull(polytopes, corpus):
+    # the rank of the Fraction vertex rows' differences; in the padded grids
+    # the implicit equalities cut the reduced cone's dimension to 4; slice:
+    # the core with the first 200 draws of each fuzz seed
+    for alg, poly in states_of(polytopes, upto(corpus, caps=dict(CORE, fuzz=200))):
+        assert poly.affine_dimension == _affine_dim(fraction_vertices(poly)), alg.labels
+    for alg in (padded_grid(3, lead=False), padded_grid(2, lead=True)):
+        assert polytopes[alg].affine_dimension == 4
 
 
 def derived_sums_check_state(alg, values, scale=1):
@@ -445,20 +337,26 @@ def derived_sums_check_state(alg, values, scale=1):
     return out
 
 
-def test_check_state_matches_derived_sums_oracle():
+def test_check_state_matches_derived_sums_oracle(polytopes):
     failing = 0
-    for alg in replaced_path_suite():
-        try:
-            poly = enumerate_vertex_states(alg)
-        except EmptyStateSpace:
-            continue
+    for alg, poly in states_of(polytopes):
+        den, last_atom = poly.denominator, derive_order(alg).atoms[-1]
         for i, v in enumerate(poly.vertices):
-            values = list(v)
-            values[i % alg.size] -= 1 + i % 3
-            for case in (v, values):
-                messages = check_state(alg, case, poly.denominator)
-                assert messages == derived_sums_check_state(alg, case, poly.denominator)
+            shifted = list(v)
+            shifted[i % alg.size] -= 1 + i % 3
+            # at six times the scale, zero moves by 1/2, which breaks every
+            # 0 + x = x row, and the unit by 1/3; the last atom (the unit on
+            # two elements) moves by -2 and turns negative
+            moved = [6 * x for x in v]
+            moved[alg.zero] += 3 * den
+            moved[alg.unit] += 2 * den
+            moved[last_atom] -= 12 * den
+            for case, scale in ((v, den), (shifted, den), (moved, 6 * den)):
+                messages = check_state(alg, case, scale)
+                assert messages == derived_sums_check_state(alg, case, scale), alg.labels
                 failing += bool(messages)
+            assert messages[0] == "value at the unit is not 1"
+            assert sum(m.startswith("additivity") for m in messages) >= 2
     assert failing
 
 
@@ -529,73 +427,44 @@ def test_constraint_rows_mention_unit():
 
 
 def test_horizontal_sum_of_two_bp1_reported():
-    # no expectation asserted beyond running the enumeration
+    # the sum glues the two zeros and the two units: the 2-element algebra,
+    # whose one state separates its two elements
     alg = catalog.horizontal_sum(
         catalog.boolean_powerset(1), catalog.boolean_powerset(1)
     )
     poly = enumerate_vertex_states(alg)
-    sep, merged = is_separating(alg, poly)
-    assert len(poly.vertices) >= 1
-    assert isinstance(sep, bool) and isinstance(merged, list)
+    assert poly == StatePolytope(1, ((0, 1),), 0)
+    assert is_separating(alg, poly) == (True, [])
 
 
-def full_catalog():
-    return [
-        catalog.boolean_powerset(1),
-        catalog.boolean_powerset(2),
-        catalog.boolean_powerset(3),
-        catalog.chain(2),
-        catalog.chain(3),
-        catalog.chain(4),
-        catalog.mo(1),
-        catalog.mo(2),
-        catalog.mo(3),
-        catalog.product(catalog.chain(2), catalog.chain(2)),
-        catalog.wright_triangle(),
-    ]
-
-
-def test_vertices_satisfy_constraints_exactly():
-    for alg in full_catalog():
-        poly = enumerate_vertex_states(alg)
+def test_vertices_satisfy_constraints_exactly(polytopes):
+    for alg, poly in states_of(polytopes):
         for v in poly.vertices:
-            assert check_state(alg, v, poly.denominator) == []
+            assert check_state(alg, v, poly.denominator) == [], alg.labels
 
 
-def test_vertex_states_monotone():
-    for alg in full_catalog():
-        poly = enumerate_vertex_states(alg)
+def test_vertex_states_monotone(polytopes):
+    for alg, poly in states_of(polytopes):
         for v in poly.vertices:
-            assert monotone_under(alg, v)
+            assert monotone_under(alg, v), alg.labels
 
 
-def test_supplement_law():
-    for alg in full_catalog():
+def test_supplement_law(polytopes):
+    for alg, poly in states_of(polytopes):
         supp = derive_order(alg).supplement
-        poly = enumerate_vertex_states(alg)
-        for v in fraction_vertices(poly):
+        for v in poly.vertices:
             for p in alg.elements():
-                assert v[supp[p]] == 1 - v[p]
+                assert v[supp[p]] == poly.denominator - v[p]
 
 
-def test_separation_across_catalog():
-    for alg in full_catalog():
-        poly = enumerate_vertex_states(alg)
-        sep, merged = is_separating(alg, poly)
+def test_separation_across_catalog(polytopes, corpus):
+    for alg in upto(corpus, source="catalog"):
+        sep, merged = is_separating(alg, polytopes[alg])
         assert sep, f"merged pairs on {alg.labels}: {merged}"
 
 
-def test_fuzz_states_well_formed():
-    for alg in random_algebras(seed=303, count=25, max_size=9):
-        poly = enumerate_vertex_states(alg)
-        for v in poly.vertices:
-            assert check_state(alg, v, poly.denominator) == []
-            assert monotone_under(alg, v)
-
-
-def test_vertices_sorted_and_distinct():
-    for alg in full_catalog():
-        poly = enumerate_vertex_states(alg)
+def test_vertices_sorted_and_distinct(polytopes):
+    for alg, poly in states_of(polytopes):
         assert list(poly.vertices) == sorted(set(poly.vertices))
 
 
@@ -606,17 +475,11 @@ def test_json_vertices_exact_fractions():
     assert doc == [{"0": "0/1", "1/2": "1/2", "1": "1/1"}]
 
 
-def test_json_fractions_over_the_least_denominator():
+def test_json_fractions_over_the_least_denominator(polytopes, corpus):
     # each entry prints as Fraction(x, denominator) reduces, and no common
     # factor is left over: the denominator is the least common one
-    suite = [alg for alg in catalog_suite() + full_catalog() if alg.size <= 32]
-    suite += random_algebras(seed=11, count=200)
     denominators = set()
-    for alg in suite:
-        try:
-            poly = enumerate_vertex_states(alg)
-        except EmptyStateSpace:
-            continue
+    for alg, poly in states_of(polytopes, upto(corpus, caps=CORE)):
         denominators.add(poly.denominator)
         assert gcd(poly.denominator, *(x for v in poly.vertices for x in v)) == 1
         expected = [
@@ -625,40 +488,3 @@ def test_json_fractions_over_the_least_denominator():
         ]
         assert poly.to_json_list(alg) == expected, alg.labels
     assert {2, 3, 4} <= denominators
-
-
-def scan_check_state(alg, values):
-    """Oracle: check_state's messages, from the table's upper triangle."""
-    out = []
-    if values[alg.unit] != 1:
-        out.append("value at the unit is not 1")
-    for p in alg.elements():
-        if values[p] < 0:
-            out.append(f"negative value at {alg.labels[p]}")
-    for a in alg.elements():
-        for b in range(a, alg.size):
-            c = alg.table[a][b]
-            if c is not None and values[a] + values[b] != values[c]:
-                out.append(f"additivity fails on ({alg.labels[a]}, {alg.labels[b]})")
-    return out
-
-
-def test_check_state_messages_match_table_scan():
-    for alg in oracle_algebras():
-        try:
-            vertices = fraction_vertices(enumerate_vertex_states(alg))
-        except EmptyStateSpace:
-            continue
-        last_atom = derive_order(alg).atoms[-1]
-        for v in vertices:
-            # moving zero breaks every 0 + x = x row, and moving the unit
-            # breaks the unit value; the atom (the unit on two elements)
-            # turns negative
-            values = list(v)
-            values[alg.zero] += Fraction(1, 2)
-            values[alg.unit] += Fraction(1, 3)
-            values[last_atom] -= 2
-            messages = check_state(alg, values)
-            assert messages[0] == "value at the unit is not 1"
-            assert sum(m.startswith("additivity") for m in messages) >= 2
-            assert messages == scan_check_state(alg, values), alg.labels

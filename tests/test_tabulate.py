@@ -23,10 +23,9 @@ from qlogic.algebra import (
 )
 from qlogic.cloning import find_cloning_bimorphism
 from qlogic.divisible import indicator, indicator_algebra, pointwise_sum
-from qlogic.fuzz import random_algebras, shuffle_carrier
+from qlogic.fuzz import shuffle_carrier
 from qlogic.mv import effect_algebra_of_mv, hidden_variable_construct
-from test_algebra import catalog_suite
-from test_mv import hidden_variable_models, luka_chain
+from corpus import luka_chain, upto
 
 
 def fields(alg):
@@ -138,21 +137,15 @@ def test_indicator_algebra_matches_label_triples():
         assert fields(indicator_algebra(n)) == fields(indicators_by_triples(n))
 
 
-def test_product_matches_label_triples():
-    pool = [
-        catalog.boolean_powerset(1),
-        catalog.boolean_powerset(2),
-        catalog.chain(2),
-        catalog.chain(3),
-        catalog.mo(2),
-    ]
+def test_product_matches_label_triples(corpus):
+    pool = upto(corpus, 6, source="catalog")
     for a in pool:
         for b in pool:
             assert fields(catalog.product(a, b)) == fields(product_by_triples(a, b))
 
 
-def test_shuffle_carrier_matches_permuted_table():
-    for alg in catalog_suite():
+def test_shuffle_carrier_matches_permuted_table(corpus):
+    for alg in upto(corpus, source="catalog"):
         for seed in range(20):
             got = shuffle_carrier(alg, random.Random(seed))
             expected = shuffle_by_permutation(alg, random.Random(seed))
@@ -165,14 +158,11 @@ def hidden_variable_mv(k):
     return hidden_variable_construct(alg, witness, derive_order(alg).atoms).mv
 
 
-def test_effect_algebra_of_mv_matches_label_triples():
+def test_effect_algebra_of_mv_matches_label_triples(models):
     mvs = [luka_chain(steps) for steps in range(1, 5)]
     mvs += [hidden_variable_mv(k) for k in range(1, 4)]
-    # the product carriers of the fuzz algebras' hidden-variable models
-    for seed in (1, 7, 202):
-        fuzz = hidden_variable_models(random_algebras(seed, 400), limit=100)
-        assert len(fuzz) == 100
-        mvs += [model.mv for model, _ in fuzz]
+    # the product carriers of the corpus's hidden-variable models
+    mvs += [model.mv for model, _ in models]
     for mv in mvs:
         assert fields(effect_algebra_of_mv(mv)) == fields(mv_by_triples(mv))
 
