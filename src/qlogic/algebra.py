@@ -4,11 +4,13 @@ The carrier is a list of labelled elements and the partial binary sum is a
 square table with ``None`` marking undefined entries.  Validation checks the
 four effect-algebra axioms by full exhaustion, comparing whole rows where it
 can (the table against its transpose, a count of unit entries per row); the
-scalar loops run only to name the first violation.  The order, supplements,
-atoms, differences, meets, joins, incompatible pairs and defined sums are
-then derived in one pass over the table, on first use, into one record kept
-on the algebra instance (``derive_order``); coherence and Boolean-ness are
-decided from the table and that record.
+scalar loops run only to name the first violation.  Associativity walks the
+defined entries alone: each defined q + r, then each p with p + (q + r)
+defined, read from per-row lists of the defined positions.  The order,
+supplements, atoms, differences, meets, joins, incompatible pairs and
+defined sums are then derived in one pass over the table, on first use,
+into one record kept on the algebra instance (``derive_order``); coherence
+and Boolean-ness are decided from the table and that record.
 """
 
 from __future__ import annotations
@@ -299,8 +301,11 @@ def _validate_checked(labels, zero, unit, table) -> FiniteEffectAlgebra:
                 f"{labels[p]!r} is orthogonal to the unit but nonzero", (labels[p],)
             )
 
-    # unique orthosupplement
+    # unique orthosupplement; the same pass lists, for each p, the q with
+    # p + q defined, in increasing order, for the associativity walk
+    defined = []
     for p, row in enumerate(rows):
+        defined.append([q for q, c in enumerate(row) if c is not None])
         if row.count(unit) != 1:
             supp = [q for q in range(n) if row[q] == unit]
             if not supp:
@@ -314,20 +319,22 @@ def _validate_checked(labels, zero, unit, table) -> FiniteEffectAlgebra:
             )
 
     # associativity, fully exhausted: p + (q + r) defined forces (p + q) + r
-    # = p + (q + r), read as row r at p + q by commutativity
+    # = p + (q + r), read as row r at p + q by commutativity.  Only defined
+    # q + r and p + (q + r) are visited, each in increasing order, so the
+    # first violation named is the one a walk over every (q, r, p) finds
     for q, row_q in enumerate(rows):
-        for r, qr in enumerate(row_q):
-            if qr is not None:
-                row_r = rows[r]
-                for p, p_qr in enumerate(rows[qr]):
-                    if p_qr is not None:
-                        pq = row_q[p]
-                        if pq is None or row_r[pq] != p_qr:
-                            raise AssociativityViolation(
-                                f"associativity fails on "
-                                f"({labels[p]!r}, {labels[q]!r}, {labels[r]!r})",
-                                (labels[p], labels[q], labels[r]),
-                            )
+        for r in defined[q]:
+            qr = row_q[r]
+            row_r = rows[r]
+            row_qr = rows[qr]
+            for p in defined[qr]:
+                pq = row_q[p]
+                if pq is None or row_r[pq] != row_qr[p]:
+                    raise AssociativityViolation(
+                        f"associativity fails on "
+                        f"({labels[p]!r}, {labels[q]!r}, {labels[r]!r})",
+                        (labels[p], labels[q], labels[r]),
+                    )
 
     return FiniteEffectAlgebra(labels=tuple(labels), zero=zero, unit=unit, table=rows)
 

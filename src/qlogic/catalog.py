@@ -2,13 +2,24 @@
 
 Labels are human-meaningful and fixed per constructor so serialized output
 is stable across runs; MO_n and the Wright triangle are Greechie pastings.
+boolean_powerset, product and horizontal_sum write their integer sum tables
+directly, chain passes its sum rule to tabulate, and pasting writes label
+triples for validate; every table then goes through the same full axiom
+validation.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import chain as ichain
 
-from .algebra import MAX_CARRIER, AlgebraError, FiniteEffectAlgebra, tabulate, validate
+from .algebra import (
+    MAX_CARRIER,
+    AlgebraError,
+    FiniteEffectAlgebra,
+    from_table,
+    tabulate,
+    validate,
+)
 
 MAX_SPEC_DEPTH = 100
 MAX_POWERSET = 5
@@ -35,11 +46,9 @@ def boolean_powerset(k: int) -> FiniteEffectAlgebra:
             f"boolean_powerset supports 1 <= k <= {MAX_POWERSET}, got {k}"
         )
     masks, label = subset_carrier(k)
-
-    def plus(a, b):
-        return None if a & b else a | b
-
-    return tabulate(masks, 0, (1 << k) - 1, plus, label)
+    pos = {m: i for i, m in enumerate(masks)}
+    rows = [[None if a & b else pos[a | b] for b in masks] for a in masks]
+    return from_table(tuple(map(label, masks)), 0, len(masks) - 1, rows)
 
 
 def chain(d: int) -> FiniteEffectAlgebra:
@@ -101,38 +110,45 @@ def pasting(blocks) -> FiniteEffectAlgebra:
 
 
 def horizontal_sum(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
-    """Glue components at shared 0 and 1; no sums across components."""
+    """Glue components at shared 0 and 1; no sums across components.
+
+    0 and 1 are elements 0 and 1; the other elements of component k follow
+    in its carrier order, labelled "k:label".  Each component's table is
+    copied through that index map, and the result is validated in full.
+    """
     if len(components) < 2:
         raise BoundExceeded("horizontal_sum needs at least two components")
+    n = 2 + sum(comp.size - 2 for comp in components)
+    if n > MAX_CARRIER:
+        raise BoundExceeded(f"horizontal sum has {n} elements (cap {MAX_CARRIER})")
     labels = ["0", "1"]
-    maps = []
+    table = [[None] * n for _ in range(n)]
     for k, comp in enumerate(components, start=1):
-        m = {}
-        for p in comp.elements():
+        index = []
+        for p, lbl in enumerate(comp.labels):
             if p == comp.zero:
-                m[p] = "0"
+                index.append(0)
             elif p == comp.unit:
-                m[p] = "1"
+                index.append(1)
             else:
-                m[p] = f"{k}:{comp.labels[p]}"
-                labels.append(m[p])
-        maps.append(m)
-    if len(labels) > MAX_CARRIER:
-        raise BoundExceeded(
-            f"horizontal sum has {len(labels)} elements (cap {MAX_CARRIER})"
-        )
-    sums = []
-    for comp, m in zip(components, maps):
-        for p in comp.elements():
-            for q in comp.elements():
-                c = comp.table[p][q]
+                index.append(len(labels))
+                labels.append(f"{k}:{lbl}")
+        for p, row in zip(index, comp.table):
+            out = table[p]
+            for q, c in zip(index, row):
                 if c is not None:
-                    sums.append([m[p], m[q], m[c]])
-    return validate(labels, "0", "1", sums)
+                    out[q] = index[c]
+    return from_table(tuple(labels), 0, 1, table)
 
 
 def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
-    """Direct product with componentwise partial sums."""
+    """Direct product with componentwise partial sums.
+
+    The components are folded in order: element (p, q) of A x B is
+    p * |B| + q, so the carrier is in lexicographic order, and its row is
+    row p of A with each defined entry c replaced by row q of B shifted by
+    c * |B|.  Labels are "(a,b,...)".  The folded table is validated in full.
+    """
     if len(components) < 2:
         raise BoundExceeded("product needs at least two components")
     size = 1
@@ -140,18 +156,31 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
         size *= comp.size
     if size > MAX_CARRIER:
         raise BoundExceeded(f"product has {size} elements (cap {MAX_CARRIER})")
-
-    def label(tup):
-        return "(" + ",".join(c.labels[p] for c, p in zip(components, tup)) + ")"
-
-    def plus(a, b):
-        cs = tuple(comp.table[x][y] for comp, x, y in zip(components, a, b))
-        return None if None in cs else cs
-
-    elems = iproduct(*(range(c.size) for c in components))
-    zero = tuple(c.zero for c in components)
-    unit = tuple(c.unit for c in components)
-    return tabulate(elems, zero, unit, plus, label)
+    first = components[0]
+    names = [(lbl,) for lbl in first.labels]
+    table = first.table
+    zero, unit = first.zero, first.unit
+    concat = ichain.from_iterable
+    for comp in components[1:]:
+        m = comp.size
+        undefined = (None,) * m
+        # shifted[c][q]: row q of comp, each defined entry x moved to c * m + x
+        shifted = [
+            [
+                tuple([None if x is None else base + x for x in row])
+                for row in comp.table
+            ]
+            for base in range(0, len(table) * m, m)
+        ]
+        table = [
+            tuple(concat([undefined if c is None else shifted[c][q] for c in row]))
+            for row in table
+            for q in range(m)
+        ]
+        names = [name + (lbl,) for name in names for lbl in comp.labels]
+        zero, unit = zero * m + comp.zero, unit * m + comp.unit
+    labels = tuple(["(" + ",".join(name) + ")" for name in names])
+    return from_table(labels, zero, unit, table)
 
 
 # ---------------------------------------------------------------------------

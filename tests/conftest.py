@@ -1,9 +1,25 @@
-"""Session fixtures: the test corpus (see corpus.py) and what is derived from it."""
+"""Session set-up: where hypothesis keeps its caches, the test corpus (see
+corpus.py) and what is derived from it."""
+
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from corpus import build_corpus, hidden_variable_models, polytope_or_message, upto
 from qlogic import states
+
+
+def pytest_configure(config):
+    """Keep hypothesis's caches out of the checkout.
+
+    Hypothesis writes its character map and the constants it reads from
+    the source under ./.hypothesis unless told otherwise; this points it at
+    a temporary directory for the session, before any strategy runs.
+    """
+    home = tempfile.TemporaryDirectory(prefix="qlogic-hypothesis-")
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)
 
 
 @pytest.fixture(scope="session")

@@ -163,6 +163,26 @@ def upto(corpus, max_size=64, caps=None, source=None):
     return out
 
 
+# the benchmark's five carriers of 33 to 64 elements, each as the catalog
+# constructor's name and the specs of its components
+BENCH_CARRIERS = (
+    ("horizontal_sum", ("boolean_powerset(5)",) * 2),
+    ("product", ("boolean_powerset(3)", "chain(5)")),
+    ("product", ("boolean_powerset(2)",) * 3),
+    ("product", ("mo(2)",) * 2),
+    ("horizontal_sum", ("mo(6)", "boolean_powerset(5)", "wright_triangle()")),
+)
+
+
+def bench_components(name):
+    """The component lists of the benchmark carriers built by constructor name."""
+    return [
+        [catalog.build_spec(spec) for spec in specs]
+        for built_by, specs in BENCH_CARRIERS
+        if built_by == name
+    ]
+
+
 # the slice for oracles too slow for the whole corpus: the catalog, the
 # constructions, the first 100 draws of each fuzz source (all of
 # random_algebras(202, 30, 16)), and the pastings of seed 3 only

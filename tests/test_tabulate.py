@@ -1,10 +1,10 @@
-"""tabulate and the constructors built on it, against label-triple oracles.
+"""tabulate and the table-writing constructors, against label-triple oracles.
 
 Each oracle builds its algebra the way the constructors did before they
-passed their sum rule to tabulate: it writes every defined sum out as a label
-triple for validate to parse; for the carrier shuffle it lists the labels in
-a hand-permuted order.  The constructors must give the same labels, zero,
-unit and table.
+passed their sum rule to tabulate or wrote their index tables: it writes
+every defined sum out as a label triple for validate to parse; for the
+carrier shuffle it lists the labels in a hand-permuted order.  The
+constructors must give the same labels, zero, unit and table.
 """
 
 import random
@@ -25,7 +25,7 @@ from qlogic.cloning import find_cloning_bimorphism
 from qlogic.divisible import indicator, indicator_algebra, pointwise_sum
 from qlogic.fuzz import shuffle_carrier
 from qlogic.mv import effect_algebra_of_mv, hidden_variable_construct
-from corpus import luka_chain, upto
+from corpus import bench_components, luka_chain, upto
 
 
 def fields(alg):
@@ -79,6 +79,30 @@ def product_by_triples(*components):
     zero = label(tuple(c.zero for c in components))
     unit = label(tuple(c.unit for c in components))
     return validate([label(t) for t in elems], zero, unit, sums)
+
+
+def horizontal_sum_by_triples(*components):
+    labels = ["0", "1"]
+    maps = []
+    for k, comp in enumerate(components, start=1):
+        m = {}
+        for p in comp.elements():
+            if p == comp.zero:
+                m[p] = "0"
+            elif p == comp.unit:
+                m[p] = "1"
+            else:
+                m[p] = f"{k}:{comp.labels[p]}"
+                labels.append(m[p])
+        maps.append(m)
+    sums = []
+    for comp, m in zip(components, maps):
+        for p in comp.elements():
+            for q in comp.elements():
+                c = comp.table[p][q]
+                if c is not None:
+                    sums.append([m[p], m[q], m[c]])
+    return validate(labels, "0", "1", sums)
 
 
 def indicators_by_triples(n):
@@ -142,6 +166,23 @@ def test_product_matches_label_triples(corpus):
     for a in pool:
         for b in pool:
             assert fields(catalog.product(a, b)) == fields(product_by_triples(a, b))
+    # three factors fold the table twice; the bench's bp(2)^3 has 64 elements
+    for abc in iproduct(upto(corpus, 4, source="catalog"), repeat=3):
+        if abc[0].size * abc[1].size * abc[2].size <= 32:
+            assert fields(catalog.product(*abc)) == fields(product_by_triples(*abc))
+    for comps in bench_components("product"):
+        assert fields(catalog.product(*comps)) == fields(product_by_triples(*comps))
+
+
+def test_horizontal_sum_matches_label_triples(corpus):
+    pool = upto(corpus, 6, source="catalog")
+    for a in pool:
+        for b in pool:
+            got = catalog.horizontal_sum(a, b)
+            assert fields(got) == fields(horizontal_sum_by_triples(a, b))
+    for comps in bench_components("horizontal_sum"):
+        got = catalog.horizontal_sum(*comps)
+        assert fields(got) == fields(horizontal_sum_by_triples(*comps))
 
 
 def test_shuffle_carrier_matches_permuted_table(corpus):
