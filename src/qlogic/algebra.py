@@ -115,9 +115,6 @@ class FiniteEffectAlgebra:
     def perp(self, p: ElementId, q: ElementId) -> bool:
         return self.table[p][q] is not None
 
-    def label(self, p: ElementId) -> str:
-        return self.labels[p]
-
     def index(self, label: str) -> ElementId:
         try:
             return self.labels.index(label)
@@ -176,30 +173,6 @@ def validate(elements, zero: str, unit: str, sums) -> FiniteEffectAlgebra:
             )
         table[i][j] = table[j][i] = k
     return _validate_checked(labels, pos[zero], pos[unit], table)
-
-
-def tabulate(elements, zero, unit, plus, label=str) -> FiniteEffectAlgebra:
-    """Build and validate an algebra from its partial sum, given as an operation.
-
-    The elements are numbered in the order given.  plus(a, b) is the element
-    a + b, or None where the sum is undefined; label(e) names element e.
-    """
-    elements = list(elements)
-    pos = {e: i for i, e in enumerate(elements)}
-    if zero not in pos or unit not in pos:
-        raise MalformedTable("zero/unit index out of range")
-    labels = tuple(label(e) for e in elements)
-
-    def row(a):
-        out = []
-        for b in elements:
-            c = plus(a, b)
-            if c is not None and c not in pos:
-                raise MalformedTable(f"{label(a)}(+){label(b)} = {c!r}, not an element")
-            out.append(None if c is None else pos[c])
-        return out
-
-    return from_table(labels, pos[zero], pos[unit], map(row, elements))
 
 
 def from_table(labels, zero: ElementId, unit: ElementId, rows) -> FiniteEffectAlgebra:

@@ -2,10 +2,9 @@
 
 Labels are human-meaningful and fixed per constructor so serialized output
 is stable across runs; MO_n and the Wright triangle are Greechie pastings.
-boolean_powerset, product and horizontal_sum write their integer sum tables
-directly, chain passes its sum rule to tabulate, and pasting writes label
-triples for validate; every table then goes through the same full axiom
-validation.
+boolean_powerset, chain, product and horizontal_sum write their integer sum
+tables for from_table, and pasting writes label triples for validate; every
+table then goes through the same full axiom validation.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .algebra import (
     AlgebraError,
     FiniteEffectAlgebra,
     from_table,
-    tabulate,
     validate,
 )
 
@@ -55,18 +53,9 @@ def chain(d: int) -> FiniteEffectAlgebra:
     """The chain {0, 1/d, ..., 1} with k/d + m/d defined iff k + m <= d."""
     if not 1 <= d <= 12:
         raise BoundExceeded(f"chain supports 1 <= D <= 12, got {d}")
-
-    def label(k):
-        if k == 0:
-            return "0"
-        if k == d:
-            return "1"
-        return f"{k}/{d}"
-
-    def plus(a, b):
-        return a + b if a + b <= d else None
-
-    return tabulate(range(d + 1), 0, d, plus, label)
+    labels = ("0", *(f"{k}/{d}" for k in range(1, d)), "1")
+    rows = [[a + b if a + b <= d else None for b in range(d + 1)] for a in range(d + 1)]
+    return from_table(labels, 0, d, rows)
 
 
 def mo(n: int) -> FiniteEffectAlgebra:

@@ -16,8 +16,9 @@ from .algebra import (
     MAX_CARRIER,
     AlgebraError,
     FiniteEffectAlgebra,
+    MalformedTable,
     find_isomorphism,
-    tabulate,
+    from_table,
 )
 from .catalog import MAX_POWERSET, boolean_powerset, subset_carrier
 from .mv import DEFAULT_SEED, SampledMV
@@ -149,14 +150,19 @@ def indicator_algebra(n: int) -> FiniteEffectAlgebra:
     if 1 << n > MAX_CARRIER:
         raise AlgebraError(f"2^{n} indicators exceed cap {MAX_CARRIER}")
     masks, label = subset_carrier(n)
-
-    def plus(a, b):
-        fa = indicator(n, {i for i in range(n) if a >> i & 1})
-        fb = indicator(n, {i for i in range(n) if b >> i & 1})
-        s = pointwise_sum(fa, fb)
-        return None if s is None else sum(1 << i for i in range(n) if s.values[i] == 1)
-
-    return tabulate(masks, 0, (1 << n) - 1, plus, label)
+    labels = tuple(map(label, masks))
+    funcs = [indicator(n, [i for i in range(n) if m >> i & 1]) for m in masks]
+    pos = {f: i for i, f in enumerate(funcs)}
+    rows = []
+    for p, f in enumerate(funcs):
+        row = []
+        for q, g in enumerate(funcs):
+            s = pointwise_sum(f, g)
+            if s is not None and s not in pos:
+                raise MalformedTable(f"{labels[p]}(+){labels[q]} is not an indicator")
+            row.append(None if s is None else pos[s])
+        rows.append(row)
+    return from_table(labels, 0, len(masks) - 1, rows)
 
 
 class SharpElementsReport(NamedTuple):

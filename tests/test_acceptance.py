@@ -36,6 +36,7 @@ from qlogic.divisible import (
 )
 from qlogic.fuzz import random_algebras
 from qlogic.mv import (
+    DEFAULT_SEED,
     check_mv_axioms,
     hidden_variable_construct,
     verify_hidden_variable,
@@ -137,7 +138,7 @@ def test_criterion_5_hidden_variable_construction(capsys):
             continue
         axioms = check_mv_axioms(model.mv)
         verification = verify_hidden_variable(
-            model, enumerate_vertex_states(alg), mixtures=100, seed=20260823
+            model, enumerate_vertex_states(alg), mixtures=100, seed=DEFAULT_SEED
         )
         if not (axioms.passed and axioms.mode == "exhaustive"):
             ok = False
@@ -149,7 +150,7 @@ def test_criterion_5_hidden_variable_construction(capsys):
 def test_criterion_6_interval_function_model(capsys):
     ok = True
     n = 3
-    rng = random.Random(20260823)
+    rng = random.Random(DEFAULT_SEED)
     one = constant(n, 1)
     for _ in range(1000):
         f = sample_function(rng, n)
@@ -234,7 +235,7 @@ def check_structural_sanity(alg):
 
 def test_criterion_8_structural_sanity(capsys):
     ok = all(check_structural_sanity(alg) for alg in state_catalog())
-    fuzzed = list(random_algebras(seed=20260823, count=200, max_size=10))
+    fuzzed = list(random_algebras(seed=DEFAULT_SEED, count=200, max_size=10))
     if len(fuzzed) != 200:
         ok = False
     for alg in fuzzed:

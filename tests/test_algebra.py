@@ -45,7 +45,6 @@ from qlogic.algebra import (
     meet,
     sharp_elements,
     structure_report,
-    tabulate,
     validate,
 )
 from qlogic.fuzz import random_algebra, random_algebras, shuffle_carrier
@@ -72,7 +71,7 @@ def test_one_sided_table_raises_commutativity():
         table[i][0] = i
     table[1][2] = 3
     with pytest.raises(CommutativityViolation) as err:
-        tabulate(range(4), 0, 3, lambda a, b: table[a][b], labels.__getitem__)
+        from_table(labels, 0, 3, table)
     assert set(err.value.witnesses) == {"a", "b"}
 
 
@@ -876,6 +875,7 @@ def test_from_table_builds_what_validate_builds():
         (5, 2, CHAIN2_ROWS),
         (-3, 2, CHAIN2_ROWS),
         (0, 2.0, CHAIN2_ROWS),
+        (0, 3, CHAIN2_ROWS),
         (0, 2, [[0, 1, 2], [1, 2], [2, None, None]]),
         (0, 2, CHAIN2_ROWS[:2]),
         (0, 2, CHAIN2_ROWS[:2] + [2]),
@@ -889,6 +889,7 @@ def test_from_table_builds_what_validate_builds():
         "zero-5",
         "zero-minus-3",
         "unit-float",
+        "unit-3",
         "short-row",
         "two-rows",
         "row-not-a-sequence",

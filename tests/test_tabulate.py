@@ -1,13 +1,14 @@
-"""tabulate and the table-writing constructors, against label-triple oracles.
+"""The table-writing constructors, against label-triple oracles.
 
 Each oracle builds its algebra the way the constructors did before they
-passed their sum rule to tabulate or wrote their index tables: it writes
-every defined sum out as a label triple for validate to parse; for the
-carrier shuffle it lists the labels in a hand-permuted order.  The
-constructors must give the same labels, zero, unit and table.
+wrote their index rows for from_table: it writes every defined sum out as
+a label triple for validate to parse; for the carrier shuffle it lists the
+labels in a hand-permuted order.  The constructors must give the same
+labels, zero, unit and table.
 """
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -15,14 +16,18 @@ import pytest
 from qlogic import catalog, divisible
 from qlogic.algebra import (
     AlgebraError,
-    CommutativityViolation,
     MalformedTable,
     derive_order,
-    tabulate,
+    from_table,
     validate,
 )
 from qlogic.cloning import find_cloning_bimorphism
-from qlogic.divisible import indicator, indicator_algebra, pointwise_sum
+from qlogic.divisible import (
+    IntervalFunction,
+    indicator,
+    indicator_algebra,
+    pointwise_sum,
+)
 from qlogic.fuzz import shuffle_carrier
 from qlogic.mv import effect_algebra_of_mv, hidden_variable_construct
 from corpus import bench_components, luka_chain, upto
@@ -208,26 +213,19 @@ def test_effect_algebra_of_mv_matches_label_triples(models):
         assert fields(effect_algebra_of_mv(mv)) == fields(mv_by_triples(mv))
 
 
-def test_tabulate_rejects_sum_outside_elements():
-    with pytest.raises(MalformedTable):
-        tabulate(range(3), 0, 2, lambda a, b: a + b)
+def test_indicator_algebra_refuses_a_non_indicator_sum(monkeypatch):
+    # {1} + {2} comes back half-valued: no element of the carrier, so the
+    # constructor must not round it to one
+    a, b = indicator(2, [0]), indicator(2, [1])
 
+    def half_sum(f, g):
+        if (f, g) == (a, b):
+            return IntervalFunction([Fraction(1, 2), 1])
+        return pointwise_sum(f, g)
 
-def test_tabulate_rejects_one_sided_sum():
-    def plus(a, b):
-        return a + b if a <= b and a + b <= 2 else None
-
-    with pytest.raises(CommutativityViolation):
-        tabulate(range(3), 0, 2, plus)
-
-
-@pytest.mark.parametrize("zero, unit", [(3, 2), (0, 3), (None, 2)])
-def test_tabulate_rejects_zero_or_unit_outside_elements(zero, unit):
-    def plus(a, b):
-        return a + b if a + b <= 2 else None
-
-    with pytest.raises(MalformedTable, match="zero/unit index out of range"):
-        tabulate(range(3), zero, unit, plus)
+    monkeypatch.setattr(divisible, "pointwise_sum", half_sum)
+    with pytest.raises(MalformedTable, match=r"\{1\}\(\+\)\{2\} is not an indicator"):
+        indicator_algebra(2)
 
 
 def counting(fn):
@@ -239,18 +237,22 @@ def counting(fn):
     return wrapped
 
 
+def unread_rows():
+    pytest.fail("from_table read the rows of a carrier it refuses")
+    yield
+
+
 @pytest.mark.parametrize(
-    "size, label, message",
+    "labels, message",
     [
-        (65, str, "carrier size 65 exceeds cap 64"),
-        (3, lambda e: "x" if e else "0", "labels are not pairwise distinct"),
+        (tuple(map(str, range(65))), "carrier size 65 exceeds cap 64"),
+        (("0", "x", "x"), "labels are not pairwise distinct"),
     ],
+    ids=["65-labels", "repeated-labels"],
 )
-def test_tabulate_refuses_bad_carrier_before_any_sum(size, label, message):
-    plus = counting(lambda a, b: a + b if a + b < size else None)
+def test_from_table_refuses_bad_carrier_before_reading_rows(labels, message):
     with pytest.raises(MalformedTable, match=message):
-        tabulate(range(size), 0, size - 1, plus, label)
-    assert plus.calls == 0
+        from_table(labels, 0, len(labels) - 1, unread_rows())
 
 
 def test_indicator_algebra_refuses_oversize_before_any_sum(monkeypatch):
