@@ -547,12 +547,14 @@ def _boolean_via_lattice(alg: FiniteEffectAlgebra) -> bool:
     for p in range(n):
         if meets[p][supp[p]] != alg.zero or joins[p][supp[p]] != alg.unit:
             return False
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                if meets[p][joins[q][r]] != joins[meets[p][q]][meets[p][r]]:
-                    return False
-    return True
+    # The lattice is Boolean iff it is the powerset of its atoms.  Map x to
+    # the set of atoms below x.  The atoms below the meet of x and y are
+    # those below both, so if the map is one-to-one, x <= y iff the meet is
+    # x iff the set of x is a subset of the set of y: the map embeds the
+    # order in the powerset, and n = 2^#atoms makes it onto.
+    atoms, lo = order.atoms, order.leq
+    below = {sum(1 << i for i, a in enumerate(atoms) if lo[a][x]) for x in range(n)}
+    return len(below) == n == 1 << len(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_ABORTED = 3
 
+# The largest carrier whose state polytope `states`, `hidden` and
+# `clone-search` enumerate: above it `states` and `hidden` exit 3 and
+# `clone-search` leaves out its state keys.
+MAX_STATE_CARRIER = 32
+
 
 def _read(path: str) -> tuple[str, str]:
     """The input file's digest and UTF-8 text; MalformedTable if unreadable.
@@ -72,6 +77,13 @@ def _split_parts(text: str) -> list[str]:
     return parts
 
 
+def _above_state_cap(alg) -> tuple[dict, int]:
+    return {
+        "error": f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
+        f"elements, got {alg.size}"
+    }, EXIT_ABORTED
+
+
 def cmd_validate(alg, args) -> tuple[dict, int]:
     return {"valid": True}, EXIT_OK
 
@@ -96,13 +108,12 @@ def cmd_clone_search(alg, args) -> tuple[dict, int]:
             cloning.check_witness_lemmas(alg, w).to_json_dict()
             for w in outcome.witnesses
         ]
-    try:
-        poly = states.enumerate_vertex_states(alg)
-        results["state_space_separating"] = states.is_separating(alg, poly)[0]
-    except states.EmptyStateSpace:
-        results["state_space_separating"] = False
-    except states.StateCarrierTooLarge:
-        pass  # above the cap the state keys are left out
+    if alg.size <= MAX_STATE_CARRIER:  # above the cap the state keys are left out
+        try:
+            poly = states.enumerate_vertex_states(alg)
+            results["state_space_separating"] = states.is_separating(alg, poly)[0]
+        except states.EmptyStateSpace:
+            results["state_space_separating"] = False
     if results.get("state_space_separating") is False:
         # without a separating state space the bimorphism criterion is
         # still decided, but its cloning-map reading is not asserted
@@ -118,12 +129,12 @@ def cmd_clone_search(alg, args) -> tuple[dict, int]:
 def cmd_states(alg, args) -> tuple[dict, int]:
     from . import states
 
+    if alg.size > MAX_STATE_CARRIER:
+        return _above_state_cap(alg)
     try:
         poly = states.enumerate_vertex_states(alg)
     except states.EmptyStateSpace as exc:
         return {"empty_state_space": True, "detail": str(exc)}, EXIT_FAIL
-    except states.StateCarrierTooLarge as exc:
-        return {"error": str(exc)}, EXIT_ABORTED
     separating, merged = states.is_separating(alg, poly)
     return {
         "vertex_count": len(poly.vertices),
@@ -160,11 +171,10 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         if not decomps:
             return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
+    if alg.size > MAX_STATE_CARRIER:
+        return _above_state_cap(alg)
     # a witness exists only on Boolean algebras, whose states are never empty
-    try:
-        poly = states.enumerate_vertex_states(alg)
-    except states.StateCarrierTooLarge as exc:
-        return {"error": str(exc)}, EXIT_ABORTED
+    poly = states.enumerate_vertex_states(alg)
     try:
         model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
     except mv.ConstructionFailed as exc:

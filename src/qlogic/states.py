@@ -36,15 +36,9 @@ from typing import NamedTuple
 
 from .algebra import AlgebraError, ElementId, FiniteEffectAlgebra, derive_order
 
-MAX_STATE_CARRIER = 32
-
 
 class EmptyStateSpace(AlgebraError):
     """The algebra admits no states at all."""
-
-
-class StateCarrierTooLarge(AlgebraError):
-    """The carrier has more than MAX_STATE_CARRIER elements to enumerate."""
 
 
 class StatePolytope(NamedTuple):
@@ -98,14 +92,8 @@ def atom_decompositions(
 def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     """Exact vertex enumeration of the state polytope, by double description.
 
-    Raises EmptyStateSpace when the algebra admits no states, and
-    StateCarrierTooLarge above MAX_STATE_CARRIER elements.
+    Raises EmptyStateSpace when the algebra admits no states.
     """
-    if alg.size > MAX_STATE_CARRIER:
-        raise StateCarrierTooLarge(
-            f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
-            f"elements, got {alg.size}"
-        )
     dec, walk = atom_decompositions(alg)
     m = len(dec[alg.zero])
     rows = {dec[alg.unit] + (1,)}

@@ -30,13 +30,11 @@ def corpus():
 @pytest.fixture(scope="session")
 def polytopes(corpus):
     """Maps each corpus algebra to its StatePolytope, or to the EmptyStateSpace
-    message, with the state carrier cap lifted for the padded grids."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(states, "MAX_STATE_CARRIER", 64)
-        return {
-            alg: polytope_or_message(states.enumerate_vertex_states, alg)
-            for _, _, alg in corpus
-        }
+    message."""
+    return {
+        alg: polytope_or_message(states.enumerate_vertex_states, alg)
+        for _, _, alg in corpus
+    }
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ oracles run on, once per session (the `corpus` fixture in conftest.py):
 
 - the catalog: powersets bp(1)..bp(4), chains of 2..4 steps, mo(1)..mo(3),
   the Wright triangle, chain(2) x chain(2) and bp(2) (+) bp(2);
-- constructions: grid(3, 3), the complete quadrilateral and the two padded
-  grids;
+- constructions: grid(3, 3), the complete quadrilateral, the two padded
+  grids, and two pastings with no states: grid(3, 4) and stateless_pasting();
 - fuzz: random_algebras(seed, 500) for seeds 1, 7 and 202, and
   random_algebras(202, 30, max_size=16);
 - pastings: the valid Greechie pastings among 500 random block lists of each
@@ -133,6 +133,8 @@ def build_corpus():
             complete_quadrilateral(),
             padded_grid(3, lead=False),
             padded_grid(2, lead=True),
+            grid(3, 4),
+            stateless_pasting(),
         ],
     }
     for seed, count, max_size in FUZZ_DRAWS:

@@ -23,6 +23,7 @@ from qlogic.algebra import (
     SupplementNotUnique,
     UnitIsotropic,
     ZeroHasNoIndex,
+    _boolean_via_lattice,
     _check_structure,
     _derive,
     _validate_checked,
@@ -392,13 +393,13 @@ def test_fuzz_documents_pinned(seed, count, max_size):
 
 
 # SHA-256 of the corpus's algebra documents, one JSON line each, in corpus order
-PINNED_CORPUS = "30ed94cad5a4636c7f25c8aec9f649a68b68fe81cae6243076401baac4d75680"
+PINNED_CORPUS = "72af86ca35e50bee0239e641232fb52df8211e83c9bbe37ed589f37467d64467"
 
 
 def test_corpus_is_pinned(corpus):
     assert Counter(source for source, _, _ in corpus) == {
         "catalog": 13,
-        "construction": 4,
+        "construction": 6,
         "fuzz(1, 500, 10)": 500,
         "fuzz(7, 500, 10)": 500,
         "fuzz(202, 500, 10)": 500,
@@ -482,6 +483,34 @@ def test_boolean_deciders_agree_on_fuzz(corpus):
     # is_boolean raises internally if the two deciders disagree
     for alg in upto(corpus, source="fuzz"):
         is_boolean(alg)
+
+
+def distributive_boolean(alg):
+    """Oracle: a lattice whose supplements are complements and whose meet
+    distributes over joins, checked on all n^3 triples."""
+    n = alg.size
+    order = derive_order(alg)
+    meets, joins, supp = order.meet, order.join, order.supplement
+    if any(None in row for row in meets + joins):
+        return False
+    for p in range(n):
+        if meets[p][supp[p]] != alg.zero or joins[p][supp[p]] != alg.unit:
+            return False
+    return all(
+        meets[p][joins[q][r]] == joins[meets[p][q]][meets[p][r]]
+        for p in range(n)
+        for q in range(n)
+        for r in range(n)
+    )
+
+
+def test_boolean_via_lattice_matches_distributivity(corpus):
+    outcomes = set()
+    for alg in upto(corpus, caps=CORE):
+        boolean = _boolean_via_lattice(alg)
+        assert boolean == distributive_boolean(alg), alg.labels
+        outcomes.add(boolean)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import catalog, mv, reports, states
+from qlogic import catalog, cli, mv, reports
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA, render_text
 from corpus import complete_quadrilateral, grid, stateless_pasting
@@ -161,7 +161,7 @@ def quadrilateral_file(tmp_path):
 @pytest.fixture
 def stateless_file(tmp_path, monkeypatch):
     # 44 elements and no states; the cap is raised so that they are enumerated
-    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
+    monkeypatch.setattr(cli, "MAX_STATE_CARRIER", 64)
     path = tmp_path / "grid34.json"
     path.write_text(grid(3, 4).to_json())
     return str(path)

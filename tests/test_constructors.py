@@ -1,10 +1,12 @@
-"""The table-writing constructors, against label-triple oracles.
+"""The constructors that write index rows for from_table.
 
-Each oracle builds its algebra the way the constructors did before they
-wrote their index rows for from_table: it writes every defined sum out as
-a label triple for validate to parse; for the carrier shuffle it lists the
-labels in a hand-permuted order.  The constructors must give the same
-labels, zero, unit and table.
+Each is checked against a label-triple oracle, which writes every defined
+sum out as a label triple for validate to parse; for the carrier shuffle
+the oracle lists the labels in a hand-permuted order.  The constructors
+must give the same labels, zero, unit and table.  The rest pins the order
+of refusals: from_table and indicator_algebra refuse a bad carrier before
+they read a row or take a sum, and indicator_algebra refuses a sum that
+is no element of its carrier.
 """
 
 import random

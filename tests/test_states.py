@@ -222,15 +222,25 @@ def test_extreme_rays_by_double_description():
         (lambda: [catalog.mo(4)] + [catalog.wright_triangle()] * 2, 16 * 5 * 5, 10),
     ],
 )
-def test_horizontal_sum_state_space_is_the_product(
-    monkeypatch, summands, vertices, dimension
-):
+def test_horizontal_sum_state_space_is_the_product(summands, vertices, dimension):
     # a state of a horizontal sum is one state of each summand, so the
     # vertex counts multiply and the affine dimensions add
-    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
     poly = enumerate_vertex_states(catalog.horizontal_sum(*summands()))
     assert len(poly.vertices) == vertices
     assert poly.affine_dimension == dimension
+
+
+def test_enumeration_takes_carriers_above_32_elements():
+    # 36 elements: the library enumerates any carrier; the 32-element cap
+    # belongs to the command line.  A state of a product is a mixture of a
+    # state of each factor, so the vertices are the 4 + 4 corners of the
+    # two squares
+    alg = catalog.product(catalog.mo(2), catalog.mo(2))
+    assert alg.size == 36
+    poly = enumerate_vertex_states(alg)
+    assert len(poly.vertices) == 8
+    for v in poly.vertices:
+        assert check_state(alg, v, poly.denominator) == []
 
 
 def test_grid_states_are_the_birkhoff_polytope():
@@ -266,8 +276,7 @@ def test_complete_quadrilateral_states_do_not_separate():
     ],
     ids=["grid_3x4", "forced_negative"],
 )
-def test_stateless_pastings(monkeypatch, build, message):
-    monkeypatch.setattr(states, "MAX_STATE_CARRIER", 64)
+def test_stateless_pastings(build, message):
     with pytest.raises(EmptyStateSpace, match=message):
         enumerate_vertex_states(build())
 
