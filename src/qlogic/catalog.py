@@ -20,15 +20,27 @@ from .algebra import (
 )
 
 MAX_SPEC_DEPTH = 100
-MAX_POWERSET = 5
 
 
 class BoundExceeded(AlgebraError):
     pass
 
 
-def subset_carrier(k: int):
+def check_carrier(name: str, size: int) -> None:
+    """The catalog's one carrier bound: BoundExceeded above MAX_CARRIER
+    elements.  A size of 2^MAX_CARRIER or more may be past Python's limit
+    on printing an int, so it is written as the power of 2 below it."""
+    if size > MAX_CARRIER:
+        bits = size.bit_length()
+        shown = size if bits <= MAX_CARRIER else f"at least 2^{bits - 1}"
+        raise BoundExceeded(f"{name} has {shown} elements (cap {MAX_CARRIER})")
+
+
+def subset_carrier(k: int, name: str):
     """Subsets of {1..k} as bitmasks by size, then value; labels like "{1,3}"."""
+    # refused under the constructor's name before any subset is formed; past
+    # MAX_CARRIER points 2^MAX_CARRIER stands in for 2^k, so k can be huge
+    check_carrier(name, 1 << min(k, MAX_CARRIER))
     masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
 
     def label(m):
@@ -39,11 +51,9 @@ def subset_carrier(k: int):
 
 def boolean_powerset(k: int) -> FiniteEffectAlgebra:
     """Subsets of {1..k} under disjoint union; the Boolean reference family."""
-    if not 1 <= k <= MAX_POWERSET:
-        raise BoundExceeded(
-            f"boolean_powerset supports 1 <= k <= {MAX_POWERSET}, got {k}"
-        )
-    masks, label = subset_carrier(k)
+    if k < 1:
+        raise BoundExceeded(f"boolean_powerset needs k >= 1, got {k}")
+    masks, label = subset_carrier(k, "boolean_powerset")
     pos = {m: i for i, m in enumerate(masks)}
     rows = [[None if a & b else pos[a | b] for b in masks] for a in masks]
     return from_table(tuple(map(label, masks)), 0, len(masks) - 1, rows)
@@ -51,8 +61,9 @@ def boolean_powerset(k: int) -> FiniteEffectAlgebra:
 
 def chain(d: int) -> FiniteEffectAlgebra:
     """The chain {0, 1/d, ..., 1} with k/d + m/d defined iff k + m <= d."""
-    if not 1 <= d <= 12:
-        raise BoundExceeded(f"chain supports 1 <= D <= 12, got {d}")
+    if d < 1:
+        raise BoundExceeded(f"chain needs D >= 1, got {d}")
+    check_carrier("chain", d + 1)
     labels = ("0", *(f"{k}/{d}" for k in range(1, d)), "1")
     rows = [[a + b if a + b <= d else None for b in range(d + 1)] for a in range(d + 1)]
     return from_table(labels, 0, d, rows)
@@ -60,8 +71,9 @@ def chain(d: int) -> FiniteEffectAlgebra:
 
 def mo(n: int) -> FiniteEffectAlgebra:
     """The horizontal-sum orthoalgebra MO_n: n two-atom blocks {ai, ai'}."""
-    if not 1 <= n <= 6:
-        raise BoundExceeded(f"mo supports 1 <= n <= 6, got {n}")
+    if n < 1:
+        raise BoundExceeded(f"mo needs n >= 1, got {n}")
+    check_carrier("mo", 2 * n + 2)
     return pasting([(f"a{i}", f"a{i}'") for i in range(1, n + 1)])
 
 
@@ -83,8 +95,7 @@ def pasting(blocks) -> FiniteEffectAlgebra:
     for block in blocks:
         if len(set(block)) < len(block):
             raise BoundExceeded(f"block {block!r} repeats an atom")
-        if 1 << len(block) > MAX_CARRIER:
-            raise BoundExceeded(f"a {len(block)}-atom block exceeds cap {MAX_CARRIER}")
+        check_carrier(f"a {len(block)}-atom block", 1 << len(block))
         lbl = [""]  # the block's elements, indexed by the bitmask of their atoms
         for x in block:
             lbl += [f"{s}+{x}" if s else x for s in lbl]
@@ -108,8 +119,7 @@ def horizontal_sum(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     if len(components) < 2:
         raise BoundExceeded("horizontal_sum needs at least two components")
     n = 2 + sum(comp.size - 2 for comp in components)
-    if n > MAX_CARRIER:
-        raise BoundExceeded(f"horizontal sum has {n} elements (cap {MAX_CARRIER})")
+    check_carrier("horizontal sum", n)
     labels = ["0", "1"]
     table = [[None] * n for _ in range(n)]
     for k, comp in enumerate(components, start=1):
@@ -143,8 +153,7 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     size = 1
     for comp in components:
         size *= comp.size
-    if size > MAX_CARRIER:
-        raise BoundExceeded(f"product has {size} elements (cap {MAX_CARRIER})")
+    check_carrier("product", size)
     first = components[0]
     names = [(lbl,) for lbl in first.labels]
     table = first.table

@@ -2,8 +2,8 @@
 
 Commands: validate, analyze, clone-search, states, hidden, catalog.
 Exit codes: 0 success / property holds, 1 property fails or no witness,
-2 invalid input, 3 resource abort (search node budget, state-enumeration
-carrier cap).
+2 invalid input, 3 resource abort (search node budget, `states` above the
+state-enumeration carrier cap).
 
 `main` reads and loads the input file, maps load errors to exit codes and
 prints the one report; each file command is a function from the loaded
@@ -27,9 +27,9 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_ABORTED = 3
 
-# The largest carrier whose state polytope `states`, `hidden` and
-# `clone-search` enumerate: above it `states` and `hidden` exit 3 and
-# `clone-search` leaves out its state keys.
+# The largest carrier whose state polytope `states` and `clone-search`
+# enumerate: above it `states` exits 3 and `clone-search` leaves out its
+# state keys.
 MAX_STATE_CARRIER = 32
 
 
@@ -75,13 +75,6 @@ def _split_parts(text: str) -> list[str]:
             start = i + 1
     parts.append(text[start:])
     return parts
-
-
-def _above_state_cap(alg) -> tuple[dict, int]:
-    return {
-        "error": f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} "
-        f"elements, got {alg.size}"
-    }, EXIT_ABORTED
 
 
 def cmd_validate(alg, args) -> tuple[dict, int]:
@@ -130,7 +123,8 @@ def cmd_states(alg, args) -> tuple[dict, int]:
     from . import states
 
     if alg.size > MAX_STATE_CARRIER:
-        return _above_state_cap(alg)
+        cap = f"vertex enumeration supports carriers up to {MAX_STATE_CARRIER} elements"
+        return {"error": f"{cap}, got {alg.size}"}, EXIT_ABORTED
     try:
         poly = states.enumerate_vertex_states(alg)
     except states.EmptyStateSpace as exc:
@@ -154,8 +148,7 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
 
     if args.budget is None:
         args.budget = cloning.DEFAULT_NODE_BUDGET
-    if args.seed is None:
-        args.seed = mv.DEFAULT_SEED
+    args.seed = mv.DEFAULT_SEED  # main stamps it on the report
     outcome = cloning.find_cloning_bimorphism(alg, node_budget=args.budget)
     if outcome.status == "aborted":
         return {"error": "cloning search aborted"}, EXIT_ABORTED
@@ -171,9 +164,8 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         if not decomps:
             return _unmet("no chain decomposition of the unit exists")
         parts = decomps[0]
-    if alg.size > MAX_STATE_CARRIER:
-        return _above_state_cap(alg)
-    # a witness exists only on Boolean algebras, whose states are never empty
+    # a witness exists only on Boolean algebras, whose vertex states are
+    # their atoms: never empty, and at most 6 within the carrier cap
     poly = states.enumerate_vertex_states(alg)
     try:
         model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
@@ -243,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     file_command("analyze", cmd_analyze, "full structure report")
     p = file_command("clone-search", cmd_clone_search, "search for cloning bimorphisms")
     p.add_argument("--all", action="store_true", help="enumerate all witnesses")
-    # --budget and --seed default to None: the command fills them in from
-    # cloning and mv, which building the parser does not import
+    # --budget defaults to None: the command fills it in from cloning,
+    # which building the parser does not import
     p.add_argument("--budget", type=budget, help="search node budget")
     file_command("states", cmd_states, "enumerate vertex states")
     p = file_command("hidden", cmd_hidden, "hidden-variable model construction")
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated part labels for the decomposition; commas "
         "inside (), {} or [] belong to a label",
     )
-    p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=budget, help="cloning search node budget")
 
     p = sub.add_parser("catalog", help="emit a catalog algebra as JSON")

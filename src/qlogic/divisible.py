@@ -13,14 +13,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
-    MAX_CARRIER,
     AlgebraError,
     FiniteEffectAlgebra,
     MalformedTable,
     find_isomorphism,
     from_table,
 )
-from .catalog import MAX_POWERSET, boolean_powerset, subset_carrier
+from .catalog import BoundExceeded, boolean_powerset, subset_carrier
 from .mv import DEFAULT_SEED, SampledMV
 
 MAX_DENOMINATOR = 24
@@ -147,9 +146,7 @@ def lukasiewicz_rationals() -> SampledMV:
 
 def indicator_algebra(n: int) -> FiniteEffectAlgebra:
     """The {0,1}-valued elements with the inherited (disjoint-support) sums."""
-    if 1 << n > MAX_CARRIER:
-        raise AlgebraError(f"2^{n} indicators exceed cap {MAX_CARRIER}")
-    masks, label = subset_carrier(n)
+    masks, label = subset_carrier(n, "indicator_algebra")
     labels = tuple(map(label, masks))
     funcs = [indicator(n, [i for i in range(n) if m >> i & 1]) for m in masks]
     pos = {f: i for i, f in enumerate(funcs)}
@@ -171,7 +168,7 @@ class SharpElementsReport(NamedTuple):
     all_indicators_sharp: bool
     closed_under_sum_and_complement: bool
     sampled_nonindicators_unsharp: bool
-    isomorphic_to_powerset: bool | None  # None when N exceeds MAX_POWERSET
+    isomorphic_to_powerset: bool | None  # None when 2^N exceeds MAX_CARRIER
     seed: int
 
     @property
@@ -213,9 +210,10 @@ def sharp_elements_report(
         if any(0 < v < 1 for v in f.values) and is_sharp_function(f):
             nonind_ok = False
 
-    iso: bool | None = None
-    if n <= MAX_POWERSET:
+    try:
         iso = find_isomorphism(indicator_algebra(n), boolean_powerset(n)) is not None
+    except BoundExceeded:
+        iso = None
 
     return SharpElementsReport(
         n=n,

@@ -95,14 +95,29 @@ def test_product_componentwise_partiality():
 
 
 def test_bounds_enforced():
-    with pytest.raises(catalog.BoundExceeded):
-        catalog.boolean_powerset(6)
-    with pytest.raises(catalog.BoundExceeded):
-        catalog.chain(13)
-    with pytest.raises(catalog.BoundExceeded):
-        catalog.mo(7)
-    with pytest.raises(catalog.BoundExceeded):
+    # each family is refused exactly past MAX_CARRIER: its last member has
+    # 64 elements, and the next one is refused with the carrier's size
+    for last, first_refused, message in (
+        ("boolean_powerset(6)", "boolean_powerset(7)", "boolean_powerset has 128"),
+        ("chain(63)", "chain(64)", "chain has 65"),
+        ("mo(31)", "mo(32)", "mo has 66"),
+    ):
+        assert catalog.build_spec(last).size == 64
+        with pytest.raises(catalog.BoundExceeded) as refused:
+            catalog.build_spec(first_refused)
+        assert str(refused.value) == f"{message} elements (cap 64)"
+    with pytest.raises(catalog.BoundExceeded, match="product has 256 elements"):
         catalog.product(catalog.boolean_powerset(4), catalog.boolean_powerset(4))
+    # 64^2400 has 4,335 digits, past Python's limit on printing an int
+    with pytest.raises(catalog.BoundExceeded, match=r"product has at least 2\^14400 "):
+        catalog.product(*[catalog.mo(31)] * 2400)
+    # a 4,000-digit exponent is refused without forming 2^k
+    with pytest.raises(catalog.BoundExceeded) as refused:
+        catalog.build_spec("boolean_powerset(" + "9" * 4000 + ")")
+    assert str(refused.value) == "boolean_powerset has at least 2^64 elements (cap 64)"
+    for name in ("boolean_powerset", "chain", "mo"):
+        with pytest.raises(catalog.BoundExceeded, match=f"{name} needs"):
+            catalog.build_spec(f"{name}(0)")
 
 
 def test_deterministic_serialization():

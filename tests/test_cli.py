@@ -204,12 +204,16 @@ def test_clone_search_without_states(capsys, stateless_file):
 
 
 def test_hidden(capsys, bp2_file):
-    code, out = run(capsys, "hidden", bp2_file, "--format", "json", "--seed", "42")
+    code, out = run(capsys, "hidden", bp2_file, "--format", "json")
     assert code == EXIT_OK
     doc = last_json(out)
-    assert doc["seed"] == 42
     assert doc["results"]["hypothesis_met"] is True
     assert doc["results"]["verification"]["passed"] is True
+    # the mixture weights' seed is not an option: linearity fixes the verdict
+    with pytest.raises(SystemExit) as exit_info:
+        main(["hidden", bp2_file, "--seed", "42"])
+    assert exit_info.value.code == EXIT_BAD_INPUT
+    assert "unrecognized arguments: --seed 42" in capsys.readouterr().err
 
 
 def test_hidden_with_explicit_parts(capsys, bp2_file):
@@ -321,6 +325,17 @@ def test_catalog_bad_spec(capsys):
         pytest.param(
             "chain(" + "9" * 5000 + ")", "catalog argument with 5000 digits",
             id="past-int-digit-limit",
+        ),
+        pytest.param(
+            "boolean_powerset(" + "9" * 4000 + ")",
+            "boolean_powerset has at least 2^64 elements (cap 64)",
+            id="huge-powerset-argument",
+        ),
+        # d + 1 has 4,301 digits, past Python's limit on printing an int
+        pytest.param(
+            "chain(" + "9" * 4300 + ")",
+            "chain has at least 2^14284 elements (cap 64)",
+            id="size-past-int-print-limit",
         ),
         pytest.param(
             "horizontal_sum(chain(2),2)", "horizontal_sum takes algebras",
@@ -588,15 +603,7 @@ def test_input_byte_cap(tmp_path, extra, code):
     assert (last_json(proc.stdout)["input_digest"] is None) == bool(extra)
 
 
-@pytest.mark.parametrize(
-    "command, spec",
-    [
-        ("states", "product(mo(2),mo(2))"),
-        # 64 elements, Boolean: the cloning search and the chain
-        # decomposition succeed, and the state enumeration refuses
-        ("hidden", "product(boolean_powerset(1),boolean_powerset(5))"),
-    ],
-)
+@pytest.mark.parametrize("command, spec", [("states", "product(mo(2),mo(2))")])
 def test_state_enumeration_cap_exits_3(tmp_path, command, spec):
     path = tmp_path / "big.json"
     path.write_text(catalog.build_spec(spec).to_json())
@@ -608,18 +615,31 @@ def test_state_enumeration_cap_exits_3(tmp_path, command, spec):
 
 
 @pytest.mark.parametrize(
-    "spec, parts, code",
+    "spec, parts, code, key, text",
     [
-        # 36 elements, not Boolean: no witness comes before the cap
-        ("product(mo(2),mo(2))", None, EXIT_FAIL),
-        # 64 elements, Boolean: a bad label comes before the cap
-        ("product(boolean_powerset(1),boolean_powerset(5))", "nolabel", EXIT_BAD_INPUT),
-        # the zero does not sum to the unit, but the cap is checked before
-        # the construction is tried
-        ("product(boolean_powerset(1),boolean_powerset(5))", "({},{})", EXIT_ABORTED),
+        # 36 elements, not Boolean: no witness
+        ("product(mo(2),mo(2))", None, EXIT_FAIL, "reason", "no cloning witness exists"),
+        # 64 elements, Boolean: a bad label
+        (
+            "product(boolean_powerset(1),boolean_powerset(5))",
+            "nolabel",
+            EXIT_BAD_INPUT,
+            "error",
+            "unknown element label 'nolabel'",
+        ),
+        # 64 elements, Boolean: the zero does not sum to the unit, so the
+        # construction fails after the states are enumerated
+        (
+            "product(boolean_powerset(1),boolean_powerset(5))",
+            "({},{})",
+            EXIT_FAIL,
+            "reason",
+            "decomposition does not sum to the unit",
+        ),
     ],
+    ids=["mo2squared-no-witness", "bp1xbp5-bad-label", "bp1xbp5-no-unit"],
 )
-def test_hidden_checks_state_cap_before_construction(tmp_path, spec, parts, code):
+def test_hidden_refusals_on_large_carriers(tmp_path, spec, parts, code, key, text):
     path = tmp_path / "big.json"
     path.write_text(catalog.build_spec(spec).to_json())
     argv = ["hidden", str(path), "--format", "json"]
@@ -629,10 +649,28 @@ def test_hidden_checks_state_cap_before_construction(tmp_path, spec, parts, code
     assert proc.returncode == code
     assert "Traceback" not in proc.stdout + proc.stderr
     results = last_json(proc.stdout)["results"]
-    if code == EXIT_ABORTED:
-        assert results["error"].startswith("vertex enumeration supports carriers up to 32")
-    else:
-        assert "model" not in results
+    assert results[key] == text
+    assert "model" not in results
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "boolean_powerset(6)",
+        "product(boolean_powerset(1),boolean_powerset(5))",
+        "product(boolean_powerset(2),boolean_powerset(2),boolean_powerset(2))",
+    ],
+    ids=["bp6", "bp1xbp5", "bp2cubed"],
+)
+def test_hidden_on_64_element_boolean_carriers(capsys, tmp_path, spec):
+    # above MAX_STATE_CARRIER, but Boolean: the vertex states are the 6 atoms
+    path = tmp_path / "big.json"
+    path.write_text(catalog.build_spec(spec).to_json())
+    code, out = run(capsys, "hidden", str(path), "--format", "json")
+    assert code == EXIT_OK
+    verification = last_json(out)["results"]["verification"]
+    assert verification["passed"] is True
+    assert verification["states_checked"] == 6
 
 
 report_validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
@@ -851,7 +889,7 @@ def test_golden_states_report(capsys, tmp_path):
 
 
 def test_clone_search_above_state_cap_leaves_out_state_keys(tmp_path):
-    # 36 elements, above states.MAX_STATE_CARRIER: the search runs, the
+    # 36 elements, above cli.MAX_STATE_CARRIER: the search runs, the
     # separation check does not
     path = tmp_path / "big.json"
     path.write_text(catalog.build_spec("product(mo(2),mo(2))").to_json())
@@ -940,8 +978,8 @@ def test_hidden_seed_defaults_to_mv_default_seed(capsys, bp2_file):
     assert doc["seed"] == doc["results"]["verification"]["seed"] == mv.DEFAULT_SEED
 
 
-# argparse help at 80 columns, as printed before the defaults of --budget
-# and --seed moved out of the parser; Python 3.10 says "optional arguments"
+# argparse help at 80 columns, as printed before the default of --budget
+# moved out of the parser; Python 3.10 says "optional arguments"
 PINNED_HELP = {
     "clone-search": """\
 usage: qlogic clone-search [-h] [--format {text,json}] [--all]
@@ -958,7 +996,7 @@ options:
   --budget BUDGET       search node budget
 """,
     "hidden": """\
-usage: qlogic hidden [-h] [--format {text,json}] [--parts PARTS] [--seed SEED]
+usage: qlogic hidden [-h] [--format {text,json}] [--parts PARTS]
                      [--budget BUDGET]
                      file
 
@@ -970,7 +1008,6 @@ options:
   --format {text,json}  output format
   --parts PARTS         comma-separated part labels for the decomposition;
                         commas inside (), {} or [] belong to a label
-  --seed SEED
   --budget BUDGET       cloning search node budget
 """,
 }

@@ -297,7 +297,8 @@ def test_first_violation_matches_table_scan(corpus):
 
 @pytest.mark.parametrize(
     "spec, nodes",
-    [(f"boolean_powerset({k})", n) for k, n in zip(range(1, 6), (0, 2, 6, 12, 20))]
+    # k(k - 1) nodes on boolean_powerset(k)
+    [(f"boolean_powerset({k})", n) for k, n in zip(range(1, 7), (0, 2, 6, 12, 20, 30))]
     + [(f"mo({n})", 3) for n in range(2, 7)]
     + [("wright_triangle()", 4)],
 )
@@ -314,6 +315,9 @@ def test_search_node_counts(spec, nodes):
         ("product(boolean_powerset(3),chain(5))", 2),
         ("product(mo(2),mo(2))", 4),
         ("horizontal_sum(mo(6),boolean_powerset(5),wright_triangle())", 3),
+        # the largest members of the non-Boolean families
+        ("mo(31)", 3),
+        ("chain(63)", 2),
     ],
 )
 def test_search_node_counts_on_large_carriers(spec, nodes):

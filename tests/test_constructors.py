@@ -154,17 +154,17 @@ def shuffle_by_permutation(alg, rng):
 
 
 def test_powerset_matches_label_triples():
-    for k in range(1, 6):
+    for k in range(1, 7):
         assert fields(catalog.boolean_powerset(k)) == fields(powerset_by_triples(k))
 
 
 def test_chain_matches_label_triples():
-    for d in range(1, 13):
+    for d in range(1, 64):
         assert fields(catalog.chain(d)) == fields(chain_by_triples(d))
 
 
 def test_indicator_algebra_matches_label_triples():
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert fields(indicator_algebra(n)) == fields(indicators_by_triples(n))
 
 

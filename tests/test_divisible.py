@@ -85,7 +85,7 @@ def test_clone_defect_is_f_minus_f_squared():
     assert gap is not None  # f^2 <= f, i.e. f^2 is orthogonal to f'
 
 
-def test_square_sum_partial():
+def test_outer_sum_partial():
     F = outer(fn("1/2", "1/2"), fn(1, 1))
     assert pointwise_sum(F, F).values[0] == Fraction(1)
     assert pointwise_sum(F, outer(constant(2, 1), constant(2, 1))) is None
@@ -161,6 +161,13 @@ def test_sharp_elements_report_n2():
     assert rep.passed
     assert rep.sharp_count == 4
     assert rep.isomorphic_to_powerset is True
+
+
+def test_sharp_elements_compared_up_to_the_carrier_cap():
+    # 2^6 indicators fit in MAX_CARRIER, 2^7 do not
+    assert sharp_elements_report(6, sample_budget=10).isomorphic_to_powerset is True
+    rep = sharp_elements_report(7, sample_budget=10)
+    assert rep.passed and rep.isomorphic_to_powerset is None
 
 
 def test_sample_function_deterministic():
