@@ -4,7 +4,9 @@ Labels are human-meaningful and fixed per constructor so serialized output
 is stable across runs; MO_n and the Wright triangle are Greechie pastings.
 boolean_powerset, chain, product and horizontal_sum write their integer sum
 tables for from_table, and pasting writes label triples for validate; every
-table then goes through the same full axiom validation.
+table then goes through the same full axiom validation.  construct is the one
+path from a constructor name to an algebra, for build_spec and for fuzz: it
+keys each construction by its spec string, so a repeated sub-spec is built once.
 """
 
 from __future__ import annotations
@@ -184,27 +186,41 @@ def product(*components: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
 # ---------------------------------------------------------------------------
 # Spec strings for the CLI: e.g. "chain(3)", "product(chain(2),chain(2))"
 
-# name -> (constructor, the type every argument must have, the number of
-# arguments or None for any number)
+# name -> the number of integer arguments, or None for any number of algebras
 _CONSTRUCTORS = {
-    "boolean_powerset": (boolean_powerset, int, 1),
-    "chain": (chain, int, 1),
-    "mo": (mo, int, 1),
-    "wright_triangle": (wright_triangle, int, 0),
-    "horizontal_sum": (horizontal_sum, FiniteEffectAlgebra, None),
-    "product": (product, FiniteEffectAlgebra, None),
+    "boolean_powerset": 1, "chain": 1, "mo": 1, "wright_triangle": 0,
+    "horizontal_sum": None, "product": None,
 }
+
+
+def construct(built: dict, name: str, *args):
+    """(spec, algebra) of the constructor `name` on args, each an int or an
+    earlier (spec, algebra) pair.  spec is the normalised string build_spec
+    reads, and built maps each spec to its algebra, so none is built twice."""
+    arity = _CONSTRUCTORS[name]
+    ints = arity is not None
+    if not all(isinstance(a, int if ints else tuple) for a in args):
+        raise BoundExceeded(
+            f"{name} takes {'integers' if ints else 'algebras'} as arguments"
+        )
+    if ints and len(args) != arity:
+        raise BoundExceeded(f"{name} takes {arity} argument(s), got {len(args)}")
+    spec = f"{name}({','.join(str(a) if ints else a[0] for a in args)})"
+    if spec not in built:
+        # looked up when called, so a patched module attribute is seen
+        built[spec] = globals()[name](*(a if ints else a[1] for a in args))
+    return spec, built[spec]
 
 
 def build_spec(text: str) -> FiniteEffectAlgebra:
     """Build a catalog algebra from a spec string like "mo(2)"."""
-    expr, rest = _parse(text.strip())
+    (_, alg), rest = _parse(text.strip(), {})
     if rest.strip():
         raise BoundExceeded(f"trailing input in catalog spec: {rest!r}")
-    return expr
+    return alg
 
 
-def _parse(text: str, depth: int = 1):
+def _parse(text: str, built: dict, depth: int = 1):
     if depth > MAX_SPEC_DEPTH:
         raise BoundExceeded(f"catalog spec nests deeper than {MAX_SPEC_DEPTH} levels")
     text = text.lstrip()
@@ -239,7 +255,7 @@ def _parse(text: str, depth: int = 1):
                     ) from None
                 rest = rest[num_end:]
             else:
-                sub, rest = _parse(rest, depth + 1)
+                sub, rest = _parse(rest, built, depth + 1)
                 args.append(sub)
             rest = rest.lstrip()
             if not rest:
@@ -247,10 +263,4 @@ def _parse(text: str, depth: int = 1):
             if rest[0] not in ",)":
                 raise BoundExceeded(f"expected ',' or ')' in catalog spec at {rest!r}")
             more, rest = rest[0] == ",", rest[1:]
-    build, kind, arity = _CONSTRUCTORS[name]
-    if not all(isinstance(arg, kind) for arg in args):
-        expected = "integers" if kind is int else "algebras"
-        raise BoundExceeded(f"{name} takes {expected} as arguments")
-    if arity is not None and len(args) != arity:
-        raise BoundExceeded(f"{name} takes {arity} argument(s), got {len(args)}")
-    return build(*args), rest
+    return construct(built, name, *args), rest

@@ -1,6 +1,7 @@
 """Seeded generation of random valid effect-algebra tables for property tests.
 
-Tables are produced by composing catalog constructors at random and then
+Tables are produced by composing catalog constructions at random through
+catalog.construct, which reuses a construction drawn again, and then
 permuting the carrier order, so every generated table is valid but its
 layout is adversarial.
 """
@@ -14,22 +15,11 @@ from . import catalog
 
 
 def _build(built: dict, name: str, *args):
-    """(spec, algebra) of the catalog constructor `name` on args.
-
-    Each arg is an int or a (spec, algebra) pair drawn earlier. The spec is
-    the string `catalog.build_spec` reads for the same construction, and
-    the algebra is None if the construction exceeds a bound. `built` maps
-    each spec to its outcome, so a construction drawn again in one call of
-    random_algebra or random_algebras is not built or validated again.
-    """
-    spec = f"{name}({','.join(a[0] if isinstance(a, tuple) else str(a) for a in args)})"
-    if spec not in built:
-        make = getattr(catalog, name)
-        try:
-            built[spec] = make(*(a[1] if isinstance(a, tuple) else a for a in args))
-        except catalog.BoundExceeded:
-            built[spec] = None
-    return spec, built[spec]
+    """catalog.construct's (spec, algebra) pair, or None past a bound."""
+    try:
+        return catalog.construct(built, name, *args)
+    except catalog.BoundExceeded:
+        return None
 
 
 def _random_spec(rng: random.Random, budget: int, built: dict):
@@ -55,8 +45,7 @@ def _random_spec(rng: random.Random, budget: int, built: dict):
         drawn = _build(built, "horizontal_sum", a, b)
     else:
         drawn = _build(built, "chain", rng.randint(1, min(4, budget - 1)))
-    alg = drawn[1]
-    return drawn if alg is not None and alg.size <= budget else None
+    return drawn if drawn is not None and drawn[1].size <= budget else None
 
 
 def shuffle_carrier(

@@ -426,6 +426,23 @@ def test_fuzz_builds_each_construction_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 243
 
 
+def test_fuzz_keys_are_catalog_specs(monkeypatch):
+    drawn = {}
+    construct = catalog.construct
+
+    def record(*args):
+        spec, alg = construct(*args)
+        assert drawn.setdefault(spec, alg) is alg
+        return spec, alg
+
+    monkeypatch.setattr(catalog, "construct", record)
+    random_algebras(seed=1, count=2000, max_size=10)
+    monkeypatch.undo()  # build_spec below goes through construct too
+    assert len(drawn) == 243
+    for spec, alg in drawn.items():
+        assert catalog.build_spec(spec) == alg, spec
+
+
 def test_cancellativity(corpus):
     for _, _, alg in corpus:
         for a in alg.elements():

@@ -142,6 +142,30 @@ def test_build_spec_rejects_garbage():
             catalog.build_spec(bad)
 
 
+def test_build_spec_builds_a_repeated_sub_spec_once(monkeypatch):
+    calls = []
+    build = catalog.boolean_powerset
+
+    def record(k):
+        calls.append(k)
+        return build(k)
+
+    monkeypatch.setattr(catalog, "boolean_powerset", record)
+    # the product is refused on its factors' sizes after one factor is built
+    spec = "product(" + ",".join(["boolean_powerset(6)"] * 600) + ")"
+    with pytest.raises(catalog.BoundExceeded) as refused:
+        catalog.build_spec(spec)
+    assert str(refused.value) == "product has at least 2^3600 elements (cap 64)"
+    assert calls == [6]
+    # a 62-element benchmark carrier; each build_spec call starts a new memo
+    for _ in range(2):
+        hsum = catalog.build_spec(
+            "horizontal_sum(boolean_powerset(5), boolean_powerset(5))"
+        )
+        assert hsum == catalog.horizontal_sum(build(5), build(5))
+    assert calls == [6, 5, 5]
+
+
 # SHA-256 of to_json(), captured before mo and wright_triangle became pastings
 PINNED_DIGESTS = {
     "mo(1)": "9eb0a0a7289c821120e0069fec869cc57f69257c59016c23123b229cc8a49c83",

@@ -8,7 +8,7 @@ import pytest
 
 from qlogic import catalog
 from qlogic.algebra import derive_order, find_isomorphism
-from qlogic.cloning import find_cloning_bimorphism, meet_witness
+from qlogic.cloning import CloningWitness, find_cloning_bimorphism, meet_witness
 from qlogic.mv import (
     DEFAULT_SEED,
     MAX_MIXTURE_WEIGHT,
@@ -302,6 +302,42 @@ def test_construct_unavailable_on_chain2():
     )
     with pytest.raises(ConstructionFailed):
         hidden_variable_construct(alg, fake, (h, h))
+
+
+def refusal(monkeypatch, alg, table, parts):
+    """hidden_variable_construct's message on parts, every witness passing."""
+    monkeypatch.setattr("qlogic.mv.verify_witness", lambda *_: (True, None))
+    witness = CloningWitness(alg, tuple(map(tuple, table)))
+    with pytest.raises(ConstructionFailed) as refused:
+        hidden_variable_construct(alg, witness, [alg.index(p) for p in parts])
+    return str(refused.value)
+
+
+def test_construct_refusals_after_the_witness_check(monkeypatch):
+    # with verify_witness passing every table, each later refusal is reached
+    ch2 = catalog.chain(2)
+    parts = ("1/2", "1/2")
+    assert refusal(monkeypatch, ch2, derive_order(ch2).meet, parts) == (
+        "part 1/2 is not sharp"
+    )
+    alg = catalog.boolean_powerset(2)
+    z, a, b, u = map(alg.index, ("{}", "{1}", "{2}", "{1,2}"))
+    parts, meet = ("{1}", "{2}"), derive_order(alg).meet
+    table = [list(row) for row in meet]
+    table[a][b] = b  # c({1}, {2}) = {2}, outside [0, {1}]
+    assert refusal(monkeypatch, alg, table, parts) == (
+        "h({2}) leaves the product carrier"
+    )
+    table = [[z] * alg.size for _ in alg.elements()]
+    assert refusal(monkeypatch, alg, table, parts) == "h is not injective"
+    # c({2}, 1) = 0 and c({2}, {1}) = {2}: h(1) = ({1}, 0), h({1}) = ({1}, {2})
+    # and h({2}) = (0, {2}) make a bijection, but h({1}) + h({2}) truncates
+    # to ({1}, {2}), not h(1)
+    table = [list(row) for row in meet]
+    table[b][u], table[b][a] = z, b
+    assert refusal(monkeypatch, alg, table, parts) == (
+        "h is not additive on ({1}, {2})"
+    )
 
 
 def test_construction_serialization():
