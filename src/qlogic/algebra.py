@@ -9,8 +9,9 @@ defined entries alone: each defined q + r, then each p with p + (q + r)
 defined, read from per-row lists of the defined positions.  The order,
 supplements, atoms, differences, meets, joins, incompatible pairs and
 defined sums are then derived in one pass over the table, on first use,
-into one record kept on the algebra instance (``derive_order``); coherence
-and Boolean-ness are decided from the table and that record.
+into one record kept on the algebra instance (``derive_order``), which
+callers read.  ``structure_report`` decides orthoalgebra-ness, coherence and
+the isotropic indices once each, and Boolean-ness from that coherence.
 """
 
 from __future__ import annotations
@@ -162,10 +163,8 @@ def validate(elements, zero: str, unit: str, sums) -> FiniteEffectAlgebra:
         try:
             i, j, k = pos[a], pos[b], pos[c]
         except KeyError:
-            for lbl in (a, b, c):
-                if lbl not in pos:
-                    msg = f"sum entry mentions unknown label {lbl!r}"
-                    raise MalformedTable(msg) from None
+            lbl = next(lbl for lbl in (a, b, c) if lbl not in pos)
+            raise MalformedTable(f"sum entry mentions unknown label {lbl!r}") from None
         # both orientations are written together, so the table stays symmetric
         if table[i][j] not in (None, k):
             raise CommutativityViolation(
@@ -210,11 +209,9 @@ def from_json_dict(doc: dict) -> FiniteEffectAlgebra:
     if not isinstance(doc, dict):
         raise MalformedTable("algebra document must be a JSON object")
     expected = {"elements", "zero", "unit", "sums"}
-    unknown = set(doc) - expected
-    if unknown:
+    if unknown := set(doc) - expected:
         raise MalformedTable(f"unknown keys in algebra document: {sorted(unknown)}")
-    missing = expected - set(doc)
-    if missing:
+    if missing := expected - set(doc):
         raise MalformedTable(f"missing keys in algebra document: {sorted(missing)}")
     if not isinstance(doc["elements"], list) or not all(
         isinstance(x, str) for x in doc["elements"]
@@ -231,9 +228,21 @@ def from_json_dict(doc: dict) -> FiniteEffectAlgebra:
     return validate(doc["elements"], doc["zero"], doc["unit"], doc["sums"])
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; MalformedTable names its first repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MalformedTable(f"duplicate key {key!r} in algebra document")
+            seen.add(key)
+    return doc
+
+
 def from_json(text: str) -> FiniteEffectAlgebra:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past Python's digit
         # limit; RecursionError is how json reports too deep a nesting
@@ -320,7 +329,9 @@ class DerivedStructure(NamedTuple):
     """Order structure derived from the sum table, built once per algebra.
 
     ``leq[p][q]``: p <= q.  ``difference[p][q]``: the r with p + r = q, or None.
+    ``atoms``: the minimal nonzero elements, in carrier order.
     ``meet``/``join``: greatest lower / least upper bound of a pair, or None.
+    ``incompatible_pairs``: the pairs p < q for which ``are_compatible`` is empty.
     ``sums``: every defined a + b = c as (a, b, c) with a <= b, in ascending
     (a, b) order; the sum is commutative, so this is each defined sum once.
     """
@@ -402,27 +413,13 @@ def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
     )
 
 
-def meet(alg: FiniteEffectAlgebra, p: ElementId, q: ElementId) -> ElementId | None:
-    """Greatest lower bound of {p, q}, or None when the bound set has no maximum."""
-    return derive_order(alg).meet[p][q]
-
-
-def join(alg: FiniteEffectAlgebra, p: ElementId, q: ElementId) -> ElementId | None:
-    """Least upper bound of {p, q}, or None when it does not exist."""
-    return derive_order(alg).join[p][q]
-
-
 def is_sharp(alg: FiniteEffectAlgebra, p: ElementId) -> bool:
-    return meet(alg, p, derive_order(alg).supplement[p]) == alg.zero
+    order = derive_order(alg)
+    return order.meet[p][order.supplement[p]] == alg.zero
 
 
 def sharp_elements(alg: FiniteEffectAlgebra) -> tuple[ElementId, ...]:
     return tuple(p for p in alg.elements() if is_sharp(alg, p))
-
-
-def atoms(alg: FiniteEffectAlgebra) -> tuple[ElementId, ...]:
-    """Minimal nonzero elements, in carrier order."""
-    return derive_order(alg).atoms
 
 
 def is_atomic(alg: FiniteEffectAlgebra) -> bool:
@@ -475,16 +472,7 @@ def are_compatible(
     return out
 
 
-def incompatible_pairs(
-    alg: FiniteEffectAlgebra,
-) -> tuple[tuple[ElementId, ElementId], ...]:
-    """Pairs p < q for which are_compatible(alg, p, q) is empty."""
-    return derive_order(alg).incompatible_pairs
-
-
-def is_orthoalgebra(
-    alg: FiniteEffectAlgebra,
-) -> tuple[bool, ElementId | None]:
+def is_orthoalgebra(alg: FiniteEffectAlgebra) -> tuple[bool, ElementId | None]:
     """True iff no nonzero p has p + p defined; counterexample otherwise."""
     for p in alg.elements():
         if p != alg.zero and alg.table[p][p] is not None:
@@ -518,24 +506,19 @@ def check_coherence(
 
 def is_boolean(alg: FiniteEffectAlgebra) -> bool:
     """Boolean-ness, decided two independent ways; the deciders must agree."""
-    via_compat = _boolean_via_compatibility(alg)
-    via_lattice = _boolean_via_lattice(alg)
-    if via_compat != via_lattice:
+    ortho, _ = is_orthoalgebra(alg)
+    return _cross_checked_boolean(alg, ortho and check_coherence(alg)[0])
+
+
+def _cross_checked_boolean(alg: FiniteEffectAlgebra, orthomodular: bool) -> bool:
+    """Boolean-ness given whether alg is orthomodular; the two deciders must agree."""
+    via_compat = orthomodular and not derive_order(alg).incompatible_pairs
+    if via_compat != _boolean_via_lattice(alg):
         raise AlgebraError(
             "internal inconsistency: the compatibility-based and lattice-based "
             "Boolean deciders disagree"
         )
     return via_compat
-
-
-def _boolean_via_compatibility(alg: FiniteEffectAlgebra) -> bool:
-    ok, _ = is_orthoalgebra(alg)
-    if not ok:
-        return False
-    coherent, _ = check_coherence(alg)
-    if not coherent:
-        return False
-    return not incompatible_pairs(alg)
 
 
 def _boolean_via_lattice(alg: FiniteEffectAlgebra) -> bool:
@@ -587,18 +570,20 @@ class StructureReport(NamedTuple):
 
 def structure_report(alg: FiniteEffectAlgebra) -> StructureReport:
     ortho, _ = is_orthoalgebra(alg)
-    coherent = check_coherence(alg)[0] if ortho else False
+    orthomodular = ortho and check_coherence(alg)[0]
+    iota = {p: isotropic_index(alg, p) for p in alg.elements() if p != alg.zero}
     return StructureReport(
         is_effect_algebra=True,
         is_orthoalgebra=ortho,
-        is_orthomodular_poset=ortho and coherent,
-        is_boolean=is_boolean(alg),
+        is_orthomodular_poset=orthomodular,
+        is_boolean=_cross_checked_boolean(alg, orthomodular),
         sharp_elements=sharp_elements(alg),
-        atoms=atoms(alg),
-        iota={p: isotropic_index(alg, p) for p in alg.elements() if p != alg.zero},
+        atoms=derive_order(alg).atoms,
+        iota=iota,
         is_atomic=is_atomic(alg),
-        is_archimedean=is_archimedean(alg),
-        incompatible_pairs=incompatible_pairs(alg),
+        # isotropic_index raises unless every index in iota is finite
+        is_archimedean=len(iota) == alg.size - 1,
+        incompatible_pairs=derive_order(alg).incompatible_pairs,
     )
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from qlogic import catalog
+from qlogic import algebra, catalog
 from qlogic.cloning import find_cloning_bimorphism
 from qlogic.algebra import (
     AlgebraError,
@@ -28,22 +28,18 @@ from qlogic.algebra import (
     _derive,
     _validate_checked,
     are_compatible,
-    atoms,
     check_coherence,
     derive_order,
     find_isomorphism,
     from_json,
     from_json_dict,
     from_table,
-    incompatible_pairs,
     is_archimedean,
     is_atomic,
     is_boolean,
     is_orthoalgebra,
     is_sharp,
     isotropic_index,
-    join,
-    meet,
     sharp_elements,
     structure_report,
     validate,
@@ -203,19 +199,19 @@ def test_mo2_atoms_incomparable():
 
 def test_bp2_meet_of_atoms_is_zero():
     alg = catalog.boolean_powerset(2)
-    assert meet(alg, alg.index("{1}"), alg.index("{2}")) == alg.zero
+    assert derive_order(alg).meet[alg.index("{1}")][alg.index("{2}")] == alg.zero
 
 
 def test_chain2_meet_with_supplement():
     alg = catalog.chain(2)
     h = alg.index("1/2")
     assert derive_order(alg).supplement[h] == h
-    assert meet(alg, h, h) == h
+    assert derive_order(alg).meet[h][h] == h
 
 
 def test_mo2_join_of_atoms_is_unit():
     alg = catalog.mo(2)
-    assert join(alg, alg.index("a1"), alg.index("a2")) == alg.unit
+    assert derive_order(alg).join[alg.index("a1")][alg.index("a2")] == alg.unit
 
 
 def test_bp_meet_join_match_set_operations():
@@ -226,10 +222,11 @@ def test_bp_meet_join_match_set_operations():
         return frozenset(lbl.split(",")) if lbl else frozenset()
 
     by_set = {as_set(p): p for p in alg.elements()}
+    order = derive_order(alg)
     for p in alg.elements():
         for q in alg.elements():
-            assert meet(alg, p, q) == by_set[as_set(p) & as_set(q)]
-            assert join(alg, p, q) == by_set[as_set(p) | as_set(q)]
+            assert order.meet[p][q] == by_set[as_set(p) & as_set(q)]
+            assert order.join[p][q] == by_set[as_set(p) | as_set(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +251,13 @@ def test_chain4_sharp_elements():
 
 def test_bp3_atoms_are_singletons():
     alg = catalog.boolean_powerset(3)
-    assert sorted(alg.labels[p] for p in atoms(alg)) == ["{1}", "{2}", "{3}"]
+    labels = sorted(alg.labels[p] for p in derive_order(alg).atoms)
+    assert labels == ["{1}", "{2}", "{3}"]
 
 
 def test_chain3_single_atom():
     alg = catalog.chain(3)
-    assert [alg.labels[p] for p in atoms(alg)] == ["1/3"]
+    assert [alg.labels[p] for p in derive_order(alg).atoms] == ["1/3"]
 
 
 def test_every_finite_algebra_atomic(corpus):
@@ -307,7 +305,7 @@ def test_bp2_atoms_compatible():
 def test_mo2_atoms_incompatible():
     alg = catalog.mo(2)
     assert are_compatible(alg, alg.index("a1"), alg.index("a2")) == []
-    assert (alg.index("a1"), alg.index("a2")) in incompatible_pairs(alg)
+    assert (alg.index("a1"), alg.index("a2")) in derive_order(alg).incompatible_pairs
 
 
 def test_mo2_coherent():
@@ -351,6 +349,48 @@ def test_structure_report_flags_consistent(corpus):
             assert rep.is_orthomodular_poset
         if rep.is_orthomodular_poset:
             assert rep.is_orthoalgebra
+
+
+def test_structure_report_matches_library_functions(corpus):
+    # the report decides each fact once; here each comes from its own call
+    kinds = set()
+    for alg in upto(corpus, caps=CORE):
+        rep = structure_report(alg)
+        order = derive_order(alg)
+        ortho = is_orthoalgebra(alg)[0]
+        assert rep.is_orthoalgebra == ortho
+        assert rep.is_orthomodular_poset == (ortho and check_coherence(alg)[0])
+        assert rep.is_boolean == is_boolean(alg)
+        assert rep.sharp_elements == sharp_elements(alg)
+        assert rep.atoms == order.atoms
+        nonzero = [p for p in alg.elements() if p != alg.zero]
+        assert list(rep.iota.items()) == [(p, isotropic_index(alg, p)) for p in nonzero]
+        assert rep.is_atomic == is_atomic(alg)
+        assert rep.is_archimedean == is_archimedean(alg)
+        assert rep.incompatible_pairs == order.incompatible_pairs
+        kinds.add((rep.is_orthoalgebra, rep.is_orthomodular_poset, rep.is_boolean))
+    # not an orthoalgebra; incoherent; orthomodular but not Boolean; Boolean
+    assert kinds == {
+        (False, False, False),
+        (True, False, False),
+        (True, True, False),
+        (True, True, True),
+    }
+
+
+def test_structure_report_decides_each_fact_once(monkeypatch):
+    calls = Counter()
+    for name in ("is_orthoalgebra", "check_coherence", "isotropic_index"):
+
+        def counted(*args, _fn=getattr(algebra, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    bp5 = "boolean_powerset(5)"
+    structure_report(catalog.build_spec(f"horizontal_sum({bp5},{bp5})"))
+    # 61 nonzero elements; check_coherence asks is_orthoalgebra once more
+    assert calls == {"is_orthoalgebra": 2, "check_coherence": 1, "isotropic_index": 61}
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +527,12 @@ def test_sharpness_dichotomy(corpus):
 def test_join_coincides_with_sum_when_orthogonal(corpus):
     # an orthoalgebra law; unsharp algebras break it (h v h = h but h+h = 1)
     for alg in [a for _, _, a in corpus if is_orthoalgebra(a)[0]]:
+        joins = derive_order(alg).join
         for p in alg.elements():
             for q in alg.elements():
                 s = alg.table[p][q]
                 if s is not None:
-                    j = join(alg, p, q)
+                    j = joins[p][q]
                     if j is not None:
                         assert j == s
 
@@ -500,6 +541,18 @@ def test_boolean_deciders_agree_on_fuzz(corpus):
     # is_boolean raises internally if the two deciders disagree
     for alg in upto(corpus, source="fuzz"):
         is_boolean(alg)
+
+
+@pytest.mark.parametrize("decide", [is_boolean, structure_report])
+@pytest.mark.parametrize("spec", ["boolean_powerset(2)", "mo(2)", "chain(2)"])
+def test_boolean_deciders_must_agree(monkeypatch, decide, spec):
+    # the lattice decider flipped: each caller of the cross-check refuses
+    def flipped(alg):
+        return not _boolean_via_lattice(alg)
+
+    monkeypatch.setattr("qlogic.algebra._boolean_via_lattice", flipped)
+    with pytest.raises(AlgebraError, match="Boolean deciders disagree"):
+        decide(catalog.build_spec(spec))
 
 
 def distributive_boolean(alg):
@@ -572,7 +625,7 @@ def test_incompatible_pairs_match_are_compatible(corpus):
             for q in range(p + 1, alg.size)
             if are_compatible(alg, p, q) == []
         )
-        assert incompatible_pairs(alg) == expected
+        assert derive_order(alg).incompatible_pairs == expected
 
 
 def test_algebra_collected_after_use():

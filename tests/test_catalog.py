@@ -8,8 +8,8 @@ from qlogic import catalog
 from qlogic.algebra import (
     CommutativityViolation,
     SupplementNotUnique,
-    atoms,
     check_coherence,
+    derive_order,
     find_isomorphism,
     is_boolean,
     is_orthoalgebra,
@@ -21,7 +21,7 @@ def test_powerset_shapes():
     for k in (1, 2, 3, 4):
         alg = catalog.boolean_powerset(k)
         assert alg.size == 2**k
-        assert len(atoms(alg)) == k
+        assert len(derive_order(alg).atoms) == k
         assert is_boolean(alg)
 
 
