@@ -240,9 +240,15 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+# one decoder for every document: json.loads with a hook builds a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def from_json(text: str) -> FiniteEffectAlgebra:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        # json.loads raises its own error on a byte-order mark, which decode
+        # would report as a missing value
+        doc = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past Python's digit
         # limit; RecursionError is how json reports too deep a nesting

@@ -86,7 +86,7 @@ def cmd_analyze(alg, args) -> tuple[dict, int]:
 
 
 def cmd_clone_search(alg, args) -> tuple[dict, int]:
-    from . import cloning, states
+    from . import cloning
 
     if args.budget is None:
         args.budget = cloning.DEFAULT_NODE_BUDGET
@@ -102,6 +102,8 @@ def cmd_clone_search(alg, args) -> tuple[dict, int]:
             for w in outcome.witnesses
         ]
     if alg.size <= MAX_STATE_CARRIER:  # above the cap the state keys are left out
+        from . import states
+
         try:
             poly = states.enumerate_vertex_states(alg)
             results["state_space_separating"] = states.is_separating(alg, poly)[0]
@@ -171,7 +173,7 @@ def cmd_hidden(alg, args) -> tuple[dict, int]:
         model = mv.hidden_variable_construct(alg, outcome.witnesses[0], parts)
     except mv.ConstructionFailed as exc:
         return _unmet(str(exc))
-    verification = mv.verify_hidden_variable(model, poly, seed=args.seed)
+    verification = mv.verify_hidden_variable(model, poly)
     results = {
         "hypothesis_met": True,
         "model": model.to_json_dict(),

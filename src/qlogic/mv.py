@@ -26,6 +26,11 @@ from .cloning import CloningWitness, verify_witness
 from .states import StatePolytope, check_state
 
 DEFAULT_SEED = 20260823
+# verify_hidden_variable checks MIXTURES mixtures of the vertex states and
+# check_mv_axioms probes a SampledMV on MV_SAMPLES triples, both drawing from
+# random.Random(DEFAULT_SEED)
+MIXTURES = 100
+MV_SAMPLES = 1000
 # verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT and
 # packs each into one byte, so it must stay below 256
 MAX_MIXTURE_WEIGHT = 12
@@ -69,7 +74,7 @@ class MVReport(NamedTuple):
     seed: int | None = None
 
 
-def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED) -> MVReport:
+def check_mv_axioms(carrier) -> MVReport:
     """Verify the eight MV identities, exhaustively or on sampled triples.
 
     Each instance is checked once, in the order: 0' = 1, the one-variable
@@ -79,7 +84,8 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
     a + (b + c) for all c at once and walks c only in a row that differs.
     A SampledMV is probed through its callables: its elements and pairs are
     the first components of the sampled triples, and triples_checked counts
-    the distinct triples among the sample_budget draws.
+    the distinct triples among MV_SAMPLES draws from
+    random.Random(DEFAULT_SEED).
     """
     if isinstance(carrier, FiniteMV):
         elems, P, N, Z, U = carrier
@@ -115,10 +121,10 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
         )
     plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
     violations = [] if neg(zero) == one else ["0' != 1"]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     triples = dict.fromkeys(
         (carrier.sample(rng), carrier.sample(rng), carrier.sample(rng))
-        for _ in range(sample_budget)
+        for _ in range(MV_SAMPLES)
     )
     for a in dict.fromkeys(t[0] for t in triples):
         if plus(a, neg(a)) != one:
@@ -142,7 +148,7 @@ def check_mv_axioms(carrier, sample_budget: int = 1000, seed: int = DEFAULT_SEED
         mode="sampled",
         triples_checked=len(triples),
         violations=tuple(violations),
-        seed=seed,
+        seed=DEFAULT_SEED,
     )
 
 
@@ -404,17 +410,15 @@ class HiddenVariableReport(NamedTuple):
 
 
 def verify_hidden_variable(
-    model: HiddenVariableModel,
-    polytope: StatePolytope,
-    mixtures: int = 100,
-    seed: int = DEFAULT_SEED,
+    model: HiddenVariableModel, polytope: StatePolytope
 ) -> HiddenVariableReport:
-    """Check the lift conditions on every vertex state plus random mixtures.
+    """Check the lift conditions on every vertex state plus MIXTURES mixtures.
 
     The state with integer weights w (a unit vector for a vertex) is the int
     vector sum(w_i * V_i) at scale L*sum(w), V_i = polytope.vertices[i] and
     L = polytope.denominator.  The weights are the same draws as
-    random.Random(seed).randint(1, MAX_MIXTURE_WEIGHT) gives, row by row.
+    random.Random(DEFAULT_SEED).randint(1, MAX_MIXTURE_WEIGHT) gives, row by
+    row.
     With no negative entry, one check covers all states: state j is lane j
     of one int per element, a lane being a whole number of bytes.  With k
     vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L, largest
@@ -425,8 +429,8 @@ def verify_hidden_variable(
     k = len(vertices)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     if vertices:
-        weights = _mixture_weights(seed, k * mixtures)
-        rows += [weights[i : i + k] for i in range(0, k * mixtures, k)]
+        weights = _mixture_weights(DEFAULT_SEED, k * MIXTURES)
+        rows += [weights[i : i + k] for i in range(0, k * MIXTURES, k)]
     violations: list[str] = []
     if rows:
         lift = _lift_index(model)
@@ -458,5 +462,5 @@ def verify_hidden_variable(
         mixtures_checked=len(rows) - k,
         order_reflection=reflection,
         violations=tuple(violations),
-        seed=seed,
+        seed=DEFAULT_SEED,
     )

@@ -137,9 +137,7 @@ def test_criterion_5_hidden_variable_construction(capsys):
             ok = False
             continue
         axioms = check_mv_axioms(model.mv)
-        verification = verify_hidden_variable(
-            model, enumerate_vertex_states(alg), mixtures=100, seed=DEFAULT_SEED
-        )
+        verification = verify_hidden_variable(model, enumerate_vertex_states(alg))
         if not (axioms.passed and axioms.mode == "exhaustive"):
             ok = False
         if not (verification.passed and verification.mixtures_checked == 100):
@@ -171,7 +169,7 @@ def test_criterion_6_interval_function_model(capsys):
             diagonal_clone(F), diagonal_clone(G)
         ):
             ok = False
-    if not check_mv_axioms(lukasiewicz_rationals(), sample_budget=1000).passed:
+    if not check_mv_axioms(lukasiewicz_rationals()).passed:
         ok = False
     for N in (1, 2, 3, 4):
         if find_isomorphism(indicator_algebra(N), catalog.boolean_powerset(N)) is None:

@@ -565,6 +565,10 @@ def _bad_input_file(tmp_path, kind):
         path.write_text("1" * 5000)
     elif kind == "deep-nesting":
         path.write_text("[" * 100000 + "]" * 100000)
+    elif kind == "utf8-bom":
+        # a valid document behind a byte-order mark, which json refuses
+        document = catalog.boolean_powerset(2).to_json().encode()
+        path.write_bytes(b"\xef\xbb\xbf" + document)
     return str(path)
 
 
@@ -573,13 +577,19 @@ FILE_COMMANDS = ["validate", "analyze", "clone-search", "states", "hidden"]
 
 @pytest.mark.parametrize("command", FILE_COMMANDS)
 @pytest.mark.parametrize(
-    "kind", ["missing", "directory", "not-utf8", "huge-integer", "deep-nesting"]
+    "kind",
+    ["missing", "directory", "not-utf8", "huge-integer", "deep-nesting", "utf8-bom"],
 )
 def test_bad_input_file_exits_2(tmp_path, command, kind):
     proc = run_process(command, _bad_input_file(tmp_path, kind), "--format", "json")
     assert proc.returncode == EXIT_BAD_INPUT
     assert "Traceback" not in proc.stdout + proc.stderr
-    assert "error" in last_json(proc.stdout)["results"]
+    error = last_json(proc.stdout)["results"]["error"]
+    if kind == "utf8-bom":  # json.loads's own message
+        assert error == (
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"
+        )
 
 
 @pytest.mark.parametrize("command", FILE_COMMANDS)
@@ -959,14 +969,24 @@ LAYER_MODULES = {"qlogic.catalog", "qlogic.cloning", "qlogic.mv", "qlogic.states
         (["analyze", "{file}"], LAYER_MODULES),
         (["states", "{file}"], {"qlogic.cloning", "qlogic.mv", "fractions"}),
         (["clone-search", "{file}", "--all"], {"fractions"}),
+        # above the state cap clone-search leaves out the state keys
+        (["clone-search", "{big}", "--all"], {"fractions", "qlogic.states"}),
         (["hidden", "{file}"], {"fractions"}),
         # catalog reads no file, so it loads no hash at all
         (["catalog", "mo(2)"], {"_sha2", "_sha256"}),
     ],
-    ids=["validate", "analyze", "states", "clone-search", "hidden", "catalog"],
+    ids=[
+        "validate", "analyze", "states", "clone-search", "clone-search-36", "hidden",
+        "catalog",
+    ],
 )
-def test_commands_import_only_what_they_run(bp2_file, argv, absent):
-    """Each command in a fresh interpreter, without site, lists sys.modules."""
+def test_commands_import_only_what_they_run(tmp_path, bp2_file, argv, absent):
+    """Each command in a fresh interpreter, without site, lists sys.modules.
+
+    {file} is bp(2) and {big} the 36-element product(mo(2),mo(2)).
+    """
+    big = tmp_path / "mo2squared.json"
+    big.write_text(catalog.build_spec("product(mo(2),mo(2))").to_json())
     src = str(Path(qlogic.__file__).resolve().parents[1])
     probe = (
         "import sys\n"
@@ -974,8 +994,9 @@ def test_commands_import_only_what_they_run(bp2_file, argv, absent):
         "main(sys.argv[1:])\n"
         "sys.stderr.write(' '.join(sys.modules))\n"
     )
+    argv = [a.format(file=bp2_file, big=big) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *(a.format(file=bp2_file) for a in argv)],
+        [sys.executable, "-S", "-c", probe, *argv],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,

@@ -118,10 +118,10 @@ def test_luka_characteristic_identity_instance():
 
 
 def test_lukasiewicz_sampled_axioms():
-    rep = check_mv_axioms(lukasiewicz_rationals(), sample_budget=1000, seed=11)
+    rep = check_mv_axioms(lukasiewicz_rationals())
     assert rep.passed
     assert rep.mode == "sampled"
-    assert rep.triples_checked == 976  # distinct triples among the 1000 draws
+    assert rep.triples_checked == 974  # distinct triples among the 1000 draws
 
 
 @given(a=unit_fractions, b=unit_fractions)
@@ -157,7 +157,7 @@ def test_indicator_algebra_matches_powerset():
 
 
 def test_sharp_elements_report_n2():
-    rep = sharp_elements_report(2, sample_budget=200, seed=5)
+    rep = sharp_elements_report(2)
     assert rep.passed
     assert rep.sharp_count == 4
     assert rep.isomorphic_to_powerset is True
@@ -165,8 +165,8 @@ def test_sharp_elements_report_n2():
 
 def test_sharp_elements_compared_up_to_the_carrier_cap():
     # 2^6 indicators fit in MAX_CARRIER, 2^7 do not
-    assert sharp_elements_report(6, sample_budget=10).isomorphic_to_powerset is True
-    rep = sharp_elements_report(7, sample_budget=10)
+    assert sharp_elements_report(6).isomorphic_to_powerset is True
+    rep = sharp_elements_report(7)
     assert rep.passed and rep.isomorphic_to_powerset is None
 
 
@@ -187,7 +187,7 @@ def test_model_hidden_variable_instance():
     assert out.status == "witness-found"
     parts = tuple(alg.index(l) for l in ("{1}", "{2}"))
     model = hidden_variable_construct(alg, out.witnesses[0], parts)
-    rep = verify_hidden_variable(model, enumerate_vertex_states(alg), mixtures=50, seed=3)
+    rep = verify_hidden_variable(model, enumerate_vertex_states(alg))
     assert rep.passed
 
 

@@ -12,6 +12,7 @@ from qlogic.cloning import CloningWitness, find_cloning_bimorphism, meet_witness
 from qlogic.mv import (
     DEFAULT_SEED,
     MAX_MIXTURE_WEIGHT,
+    MIXTURES,
     ConstructionFailed,
     FiniteMV,
     HiddenVariableReport,
@@ -250,9 +251,7 @@ def test_verify_hidden_variable_with_mixtures(k):
     alg = catalog.boolean_powerset(k)
     witness = find_cloning_bimorphism(alg).witnesses[0]
     model = hidden_variable_construct(alg, witness, atomic_decomposition(alg))
-    rep = verify_hidden_variable(
-        model, enumerate_vertex_states(alg), mixtures=100, seed=7
-    )
+    rep = verify_hidden_variable(model, enumerate_vertex_states(alg))
     assert rep.passed
     assert rep.mixtures_checked == 100
     assert rep.order_reflection
@@ -363,22 +362,21 @@ def scalar_order_reflection(model):
     )
 
 
-def fraction_verify_hidden_variable(
-    model, polytope, mixtures=100, seed=DEFAULT_SEED
-):
+def fraction_verify_hidden_variable(model, polytope):
     """Oracle: verify_hidden_variable over Fractions, one lift per state.
 
-    Each mixture is divided out to a Fraction state, lifted with lift_state
-    and checked with check_lifted_state, with no common denominator.  The
-    weights come from randint and order reflection from the scalar oracle.
+    Each of the MIXTURES mixtures is divided out to a Fraction state, lifted
+    with lift_state and checked with check_lifted_state, with no common
+    denominator.  The weights come from random.Random(DEFAULT_SEED).randint
+    and order reflection from the scalar oracle.
     """
     violations = []
     vertices = fraction_vertices(polytope)
     states = [list(v) for v in vertices]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     n_mix = 0
     if len(vertices) >= 1:
-        for _ in range(mixtures):
+        for _ in range(MIXTURES):
             weights = [Fraction(rng.randint(1, MAX_MIXTURE_WEIGHT)) for _ in vertices]
             total = sum(weights)
             mixed = [
@@ -399,7 +397,7 @@ def fraction_verify_hidden_variable(
         mixtures_checked=n_mix,
         order_reflection=reflection,
         violations=tuple(violations),
-        seed=seed,
+        seed=DEFAULT_SEED,
     )
 
 
@@ -431,8 +429,8 @@ def test_integer_verification_matches_oracle_on_perturbed_polytopes(models):
     seen = set()
     for i, (model, poly) in enumerate(models):
         model, poly = perturbed(model, poly, i)
-        rep = verify_hidden_variable(model, poly, seed=i)
-        assert rep == fraction_verify_hidden_variable(model, poly, seed=i)
+        rep = verify_hidden_variable(model, poly)
+        assert rep == fraction_verify_hidden_variable(model, poly)
         seen.update(k for k in kinds for v in rep.violations if k in v)
     assert seen == set(kinds)
 
@@ -454,15 +452,6 @@ def test_verification_without_vertices():
     rep = verify_hidden_variable(model, empty)
     assert rep == fraction_verify_hidden_variable(model, empty)
     assert (rep.states_checked, rep.mixtures_checked, rep.violations) == (0, 0, ())
-
-
-def test_verification_without_mixtures_matches_oracle(models):
-    # the vertex lanes alone, on the plain and the perturbed polytopes
-    for i, (model, poly) in enumerate(models):
-        for case in ((model, poly), perturbed(model, poly, i)):
-            rep = verify_hidden_variable(*case, mixtures=0)
-            assert rep == fraction_verify_hidden_variable(*case, mixtures=0)
-            assert rep.mixtures_checked == 0
 
 
 def catalog_models(corpus):
@@ -497,28 +486,35 @@ def test_verification_at_a_large_common_denominator(corpus):
 
 
 def test_lane_width_keeps_errors_from_cancelling(corpus):
-    # vertex 0 is off by 2**t/den at the unit and vertex 1 by -1/den: in lanes
-    # t bits wide the two errors would cancel, so the check must still fail
+    # state j has weights rows[j] (the vertices, then the mixtures), so errors
+    # d0 and d1 at the unit of vertices 0 and 1 put sum_i rows[j][i] * d_i in
+    # lane j; with d0 = c1 and d1 = -c0, c_i = sum_j rows[j][i] << t*j, the
+    # lanes' errors would cancel in lanes t bits wide, so the check must fail
     model, poly = catalog_models(corpus)[0]
-    den, unit = 10**12, model.algebra.unit
+    k, unit = len(poly.vertices), model.algebra.unit
+    weights = _mixture_weights(DEFAULT_SEED, k * MIXTURES)
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    rows += [weights[i : i + k] for i in range(0, k * MIXTURES, k)]
     for t in range(80):
+        c0, c1 = (sum(w[i] << t * j for j, w in enumerate(rows)) for i in (0, 1))
         moves = [[Fraction(0)] * model.algebra.size for _ in range(2)]
-        moves[0][unit], moves[1][unit] = Fraction(2**t, den), Fraction(-1, den)
+        # d0 and d1 scaled by 1/(4*c0): vertex 1 keeps 3/4 at the unit, so no
+        # entry is negative and the lanes are used
+        moves[0][unit], moves[1][unit] = Fraction(c1, 4 * c0), Fraction(-1, 4)
         bad = moved_vertices(poly, moves)
-        rep = verify_hidden_variable(model, bad, mixtures=0)
+        rep = verify_hidden_variable(model, bad)
         assert not rep.passed
-        assert rep == fraction_verify_hidden_variable(model, bad, mixtures=0)
+        assert rep == fraction_verify_hidden_variable(model, bad)
 
 
-@pytest.mark.parametrize("mixtures", (0, 100))
-def test_negative_vertex_entry_checked_state_by_state(corpus, mixtures):
+def test_negative_vertex_entry_checked_state_by_state(corpus):
     # 2*V0 - V1 is additive with value 1 at the unit, but negative where
     # V1 exceeds 2*V0
     for model, poly in catalog_models(corpus):
         v0, v1 = fraction_vertices(poly)[:2]
         signed = moved_vertices(poly, [[x - y for x, y in zip(v0, v1)]])
-        rep = verify_hidden_variable(model, signed, mixtures=mixtures)
-        assert rep == fraction_verify_hidden_variable(model, signed, mixtures=mixtures)
+        rep = verify_hidden_variable(model, signed)
+        assert rep == fraction_verify_hidden_variable(model, signed)
         assert any("negative value" in v for v in rep.violations)
 
 
