@@ -370,35 +370,46 @@ def fraction_verify_hidden_variable(model, polytope):
     denominator.  The weights come from random.Random(DEFAULT_SEED).randint
     and order reflection from the scalar oracle.
     """
-    violations = []
-    vertices = fraction_vertices(polytope)
-    states = [list(v) for v in vertices]
-    rng = random.Random(DEFAULT_SEED)
-    n_mix = 0
-    if len(vertices) >= 1:
-        for _ in range(MIXTURES):
-            weights = [Fraction(rng.randint(1, MAX_MIXTURE_WEIGHT)) for _ in vertices]
-            total = sum(weights)
-            mixed = [
-                sum(w * v[p] for w, v in zip(weights, vertices)) / total
-                for p in model.algebra.elements()
-            ]
-            states.append(mixed)
-            n_mix += 1
-    for omega in states:
-        omega_bar = lift_state(model, omega)
-        violations.extend(check_lifted_state(model, omega, omega_bar))
+    states = fraction_states(polytope)
+    violations = fraction_state_violations(model, states)
     reflection = scalar_order_reflection(model)
     if not reflection:
         violations.append("order reflection of h fails")
     return HiddenVariableReport(
         passed=not violations,
         states_checked=len(polytope.vertices),
-        mixtures_checked=n_mix,
+        mixtures_checked=len(states) - len(polytope.vertices),
         order_reflection=reflection,
         violations=tuple(violations),
         seed=DEFAULT_SEED,
     )
+
+
+def fraction_states(polytope):
+    """The vertices as Fraction states, then, if there is one, the MIXTURES
+    mixtures with weights from random.Random(DEFAULT_SEED).randint."""
+    vertices = fraction_vertices(polytope)
+    states = [list(v) for v in vertices]
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(MIXTURES if vertices else 0):
+        weights = [Fraction(rng.randint(1, MAX_MIXTURE_WEIGHT)) for _ in vertices]
+        total = sum(weights)
+        states.append(
+            [
+                sum(w * v[p] for w, v in zip(weights, vertices)) / total
+                for p in range(len(vertices[0]))
+            ]
+        )
+    return states
+
+
+def fraction_state_violations(model, states):
+    """check_lifted_state's messages, state after state in the given order."""
+    return [
+        msg
+        for omega in states
+        for msg in check_lifted_state(model, omega, lift_state(model, omega))
+    ]
 
 
 def perturbed(model, polytope, i):
@@ -507,15 +518,21 @@ def test_lane_width_keeps_errors_from_cancelling(corpus):
         assert rep == fraction_verify_hidden_variable(model, bad)
 
 
-def test_negative_vertex_entry_checked_state_by_state(corpus):
+@pytest.mark.parametrize("mixtures", (0, MIXTURES))
+def test_negative_vertex_entry_checked_state_by_state(corpus, mixtures):
     # 2*V0 - V1 is additive with value 1 at the unit, but negative where
-    # V1 exceeds 2*V0
+    # V1 exceeds 2*V0; the report lists the messages state by state, so those
+    # of the vertices and the first `mixtures` mixtures lead it, and the
+    # vertices alone already show the negative value
     for model, poly in catalog_models(corpus):
         v0, v1 = fraction_vertices(poly)[:2]
         signed = moved_vertices(poly, [[x - y for x, y in zip(v0, v1)]])
         rep = verify_hidden_variable(model, signed)
         assert rep == fraction_verify_hidden_variable(model, signed)
-        assert any("negative value" in v for v in rep.violations)
+        states = fraction_states(signed)[: len(signed.vertices) + mixtures]
+        leading = fraction_state_violations(model, states)
+        assert rep.violations[: len(leading)] == tuple(leading)
+        assert any("negative value" in v for v in leading)
 
 
 def scalar_mv_report(mv):
