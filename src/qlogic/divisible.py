@@ -1,14 +1,14 @@
 """The non-atomic interval-function model: [0,1]-valued functions on N points.
 
 The carrier is uncountable, so it is represented intensionally: operations
-act on explicit rational vectors, and the model's laws are checked on seeded
-samples plus adversarial corners.  All arithmetic is exact.
+act on explicit rational vectors, and the model's laws are checked
+exhaustively on finite submodels, the Lukasiewicz chains and the indicator
+functions.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,13 +19,11 @@ from .algebra import (
     find_isomorphism,
     from_table,
 )
-from .catalog import BoundExceeded, boolean_powerset, subset_carrier
-from .mv import DEFAULT_SEED, SampledMV
+from .catalog import boolean_powerset, subset_carrier
+from .mv import FiniteMV
 
+# the largest denominator of the values sharp_elements_report checks
 MAX_DENOMINATOR = 24
-# sharp_elements_report checks SHARP_SAMPLES functions drawn from
-# random.Random(DEFAULT_SEED)
-SHARP_SAMPLES = 200
 
 
 def _as_unit_fraction(x) -> Fraction:
@@ -127,24 +125,20 @@ def luka_neg(a) -> Fraction:
     return 1 - Fraction(a)
 
 
-def sample_fraction(rng: random.Random) -> Fraction:
-    den = rng.randint(1, MAX_DENOMINATOR)
-    return Fraction(rng.randint(0, den), den)
+def lukasiewicz_chain(d: int) -> FiniteMV:
+    """The Lukasiewicz chain L_d = {0, 1/d, ..., 1}, its tables read off
+    luka_plus and luka_neg.
 
-
-def sample_function(rng: random.Random, n: int) -> IntervalFunction:
-    return IntervalFunction([sample_fraction(rng) for _ in range(n)])
-
-
-def lukasiewicz_rationals() -> SampledMV:
-    """The [0,1] Lukasiewicz MV prototype, probed on sampled rationals."""
-    return SampledMV(
-        plus=luka_plus,
-        neg=luka_neg,
-        zero=Fraction(0),
-        one=Fraction(1),
-        sample=sample_fraction,
-    )
+    By Chang's completeness theorem an MV identity holds in [0, 1] iff it
+    holds in every L_d, so check_mv_axioms on these chains checks the
+    Fraction operations themselves.  A sum or complement that leaves L_d
+    raises KeyError.
+    """
+    elements = tuple(Fraction(k, d) for k in range(d + 1))
+    pos = {v: i for i, v in enumerate(elements)}
+    P = tuple(tuple([pos[luka_plus(a, b)] for b in elements]) for a in elements)
+    N = tuple(pos[luka_neg(a)] for a in elements)
+    return FiniteMV(elements, P, N, 0, d)
 
 
 def indicator_algebra(n: int) -> FiniteEffectAlgebra:
@@ -170,58 +164,43 @@ class SharpElementsReport(NamedTuple):
     sharp_count: int
     all_indicators_sharp: bool
     closed_under_sum_and_complement: bool
-    sampled_nonindicators_unsharp: bool
-    isomorphic_to_powerset: bool | None  # None when 2^N exceeds MAX_CARRIER
-    seed: int
+    nonindicators_unsharp: bool
+    isomorphic_to_powerset: bool
 
     @property
     def passed(self) -> bool:
         return (
             self.all_indicators_sharp
             and self.closed_under_sum_and_complement
-            and self.sampled_nonindicators_unsharp
-            and self.isomorphic_to_powerset in (True, None)
+            and self.nonindicators_unsharp
+            and self.isomorphic_to_powerset
         )
 
 
 def sharp_elements_report(n: int) -> SharpElementsReport:
-    """Check that the sharp elements form the expected Boolean subalgebra."""
-    subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    indicators = {s: indicator(n, s) for s in subsets}
+    """Check that the sharp functions on n points are the indicators and
+    form the Boolean algebra of subsets of the n points.
 
-    all_sharp = all(is_sharp_function(f) for f in indicators.values())
-
-    closed = True
-    for s in subsets:
-        if not is_sharp_function(complement(indicators[s])):
-            closed = False
-    for s in subsets:
-        for t in subsets:
-            total = pointwise_sum(indicators[s], indicators[t])
-            if s & t:
-                if total is not None:
-                    closed = False
-            elif total is None or not is_sharp_function(total):
-                closed = False
-
-    rng = random.Random(DEFAULT_SEED)
-    nonind_ok = True
-    for _ in range(SHARP_SAMPLES):
-        f = sample_function(rng, n)
-        if any(0 < v < 1 for v in f.values) and is_sharp_function(f):
-            nonind_ok = False
-
-    try:
-        iso = find_isomorphism(indicator_algebra(n), boolean_powerset(n)) is not None
-    except BoundExceeded:
-        iso = None
-
+    indicator_algebra(n) refuses n past the carrier cap with BoundExceeded
+    before any indicator is formed.  Building it is the closure check: it
+    raises MalformedTable on a sum that leaves the indicators, and
+    from_table raises SupplementMissing on an indicator whose complement is
+    not one, so a returned report is closed.  is_sharp_function is a
+    conjunction over points, so a function with values of denominator at
+    most MAX_DENOMINATOR is sharp iff each value is; those values are
+    checked one at a time.
+    """
+    alg = indicator_algebra(n)
+    supports = [{i for i in range(n) if m >> i & 1} for m in range(1 << n)]
+    denominators = range(1, MAX_DENOMINATOR + 1)
+    values = {Fraction(k, d) for d in denominators for k in range(d + 1)}
     return SharpElementsReport(
         n=n,
-        sharp_count=len(subsets),
-        all_indicators_sharp=all_sharp,
-        closed_under_sum_and_complement=closed,
-        sampled_nonindicators_unsharp=nonind_ok,
-        isomorphic_to_powerset=iso,
-        seed=DEFAULT_SEED,
+        sharp_count=alg.size,
+        all_indicators_sharp=all(is_sharp_function(indicator(n, s)) for s in supports),
+        closed_under_sum_and_complement=True,
+        nonindicators_unsharp=not any(
+            is_sharp_function(IntervalFunction([v])) for v in values - {0, 1}
+        ),
+        isomorphic_to_powerset=find_isomorphism(alg, boolean_powerset(n)) is not None,
     )

@@ -26,11 +26,9 @@ from .cloning import CloningWitness, verify_witness
 from .states import StatePolytope, check_state
 
 DEFAULT_SEED = 20260823
-# verify_hidden_variable checks MIXTURES mixtures of the vertex states and
-# check_mv_axioms probes a SampledMV on MV_SAMPLES triples, both drawing from
-# random.Random(DEFAULT_SEED)
+# verify_hidden_variable checks MIXTURES mixtures of the vertex states, their
+# weights drawn from random.Random(DEFAULT_SEED)
 MIXTURES = 100
-MV_SAMPLES = 1000
 # verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT and
 # packs each into one byte, so it must stay below 256
 MAX_MIXTURE_WEIGHT = 12
@@ -55,100 +53,50 @@ class FiniteMV(NamedTuple):
     one: int
 
 
-class SampledMV:
-    """An MV carrier too large to enumerate, probed through a seeded sampler."""
-
-    def __init__(self, plus, neg, zero, one, sample):
-        self.plus = plus
-        self.neg = neg
-        self.zero = zero
-        self.one = one
-        self.sample = sample
-
-
 class MVReport(NamedTuple):
     passed: bool
-    mode: str  # "exhaustive" | "sampled"
     triples_checked: int
     violations: tuple[str, ...]
-    seed: int | None = None
 
 
-def check_mv_axioms(carrier) -> MVReport:
-    """Verify the eight MV identities, exhaustively or on sampled triples.
+def check_mv_axioms(mv: FiniteMV) -> MVReport:
+    """Verify the eight MV identities exhaustively on mv's index tables.
 
     Each instance is checked once, in the order: 0' = 1, the one-variable
     identities per element, commutativity and the Lukasiewicz identity per
-    pair, associativity per triple.  A FiniteMV is checked exhaustively on
-    its index tables; associativity compares the row P[P[i][j]] with
-    a + (b + c) for all c at once and walks c only in a row that differs.
-    A SampledMV is probed through its callables: its elements and pairs are
-    the first components of the sampled triples, and triples_checked counts
-    the distinct triples among MV_SAMPLES draws from
-    random.Random(DEFAULT_SEED).
+    pair, associativity per triple.  Associativity compares the row
+    P[P[i][j]] with a + (b + c) for all c at once and walks c only in a row
+    that differs.
     """
-    if isinstance(carrier, FiniteMV):
-        elems, P, N, Z, U = carrier
-        violations = [] if N[Z] == U else ["0' != 1"]
-        for i, a in enumerate(elems):
-            if P[i][N[i]] != U:
-                violations.append(f"a + a' != 1 at {a}")
-            if P[i][Z] != i:
-                violations.append(f"a + 0 != a at {a}")
-            if N[N[i]] != i:
-                violations.append(f"a'' != a at {a}")
-            if P[i][U] != U:
-                violations.append(f"a + 1 != 1 at {a}")
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                if P[i][j] != P[j][i]:
-                    violations.append(f"commutativity fails on ({a}, {b})")
-                if P[N[P[N[i]][j]]][j] != P[N[P[i][N[j]]]][i]:
-                    violations.append(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
-        for i, a in enumerate(elems):
-            Pi = P[i]
-            for j, b in enumerate(elems):
-                left, Pj = P[Pi[j]], P[j]
-                if left != tuple([Pi[x] for x in Pj]):
-                    for k, c in enumerate(elems):
-                        if left[k] != Pi[Pj[k]]:
-                            violations.append(f"associativity fails on ({a}, {b}, {c})")
-        return MVReport(
-            passed=not violations,
-            mode="exhaustive",
-            triples_checked=len(elems) ** 3,
-            violations=tuple(violations),
-        )
-    plus, neg, zero, one = carrier.plus, carrier.neg, carrier.zero, carrier.one
-    violations = [] if neg(zero) == one else ["0' != 1"]
-    rng = random.Random(DEFAULT_SEED)
-    triples = dict.fromkeys(
-        (carrier.sample(rng), carrier.sample(rng), carrier.sample(rng))
-        for _ in range(MV_SAMPLES)
-    )
-    for a in dict.fromkeys(t[0] for t in triples):
-        if plus(a, neg(a)) != one:
+    elems, P, N, Z, U = mv
+    violations = [] if N[Z] == U else ["0' != 1"]
+    for i, a in enumerate(elems):
+        if P[i][N[i]] != U:
             violations.append(f"a + a' != 1 at {a}")
-        if plus(a, zero) != a:
+        if P[i][Z] != i:
             violations.append(f"a + 0 != a at {a}")
-        if neg(neg(a)) != a:
+        if N[N[i]] != i:
             violations.append(f"a'' != a at {a}")
-        if plus(a, one) != one:
+        if P[i][U] != U:
             violations.append(f"a + 1 != 1 at {a}")
-    for a, b in dict.fromkeys(t[:2] for t in triples):
-        if plus(a, b) != plus(b, a):
-            violations.append(f"commutativity fails on ({a}, {b})")
-        if plus(neg(plus(neg(a), b)), b) != plus(neg(plus(a, neg(b))), a):
-            violations.append(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
-    for a, b, c in triples:
-        if plus(plus(a, b), c) != plus(a, plus(b, c)):
-            violations.append(f"associativity fails on ({a}, {b}, {c})")
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            if P[i][j] != P[j][i]:
+                violations.append(f"commutativity fails on ({a}, {b})")
+            if P[N[P[N[i]][j]]][j] != P[N[P[i][N[j]]]][i]:
+                violations.append(f"(a'+b)'+b != (a+b')'+a on ({a}, {b})")
+    for i, a in enumerate(elems):
+        Pi = P[i]
+        for j, b in enumerate(elems):
+            left, Pj = P[Pi[j]], P[j]
+            if left != tuple([Pi[x] for x in Pj]):
+                for k, c in enumerate(elems):
+                    if left[k] != Pi[Pj[k]]:
+                        violations.append(f"associativity fails on ({a}, {b}, {c})")
     return MVReport(
         passed=not violations,
-        mode="sampled",
-        triples_checked=len(triples),
+        triples_checked=len(elems) ** 3,
         violations=tuple(violations),
-        seed=DEFAULT_SEED,
     )
 
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from qlogic import catalog
 from qlogic.algebra import FiniteEffectAlgebra, ValidationError
 from qlogic.cloning import find_cloning_bimorphism
+from qlogic.divisible import MAX_DENOMINATOR, IntervalFunction
 from qlogic.fuzz import random_algebras
 from qlogic.mv import FiniteMV, find_chain_decomposition, hidden_variable_construct
 from qlogic.states import EmptyStateSpace, StatePolytope, enumerate_vertex_states
@@ -197,6 +198,16 @@ def luka_chain(steps):
     P = tuple(tuple(min(i + j, steps) for j in ks) for i in ks)
     N = tuple(steps - i for i in ks)
     return FiniteMV(tuple(Fraction(k, steps) for k in ks), P, N, 0, steps)
+
+
+def sample_fraction(rng):
+    """A value k/d in [0, 1], d drawn from 1..MAX_DENOMINATOR."""
+    den = rng.randint(1, MAX_DENOMINATOR)
+    return Fraction(rng.randint(0, den), den)
+
+
+def sample_function(rng, n):
+    return IntervalFunction([sample_fraction(rng) for _ in range(n)])
 
 
 def hidden_variable_models(algebras):

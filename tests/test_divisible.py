@@ -1,15 +1,18 @@
 """The interval-function model: pointwise ops, cloning, and sharp elements."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlogic import catalog
+from qlogic import catalog, divisible
 from qlogic.algebra import AlgebraError, find_isomorphism
+from qlogic.catalog import BoundExceeded
 from qlogic.divisible import (
+    MAX_DENOMINATOR,
     IntervalFunction,
     complement,
     constant,
@@ -19,14 +22,14 @@ from qlogic.divisible import (
     is_sharp_function,
     luka_neg,
     luka_plus,
-    lukasiewicz_rationals,
+    lukasiewicz_chain,
     outer,
     pointwise_sum,
     product_bimorphism,
-    sample_function,
     sharp_elements_report,
 )
 from qlogic.mv import check_mv_axioms
+from corpus import luka_chain, sample_function
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
@@ -117,11 +120,42 @@ def test_luka_characteristic_identity_instance():
     assert lhs == rhs == Fraction(1, 2)
 
 
-def test_lukasiewicz_sampled_axioms():
-    rep = check_mv_axioms(lukasiewicz_rationals())
-    assert rep.passed
-    assert rep.mode == "sampled"
-    assert rep.triples_checked == 974  # distinct triples among the 1000 draws
+def test_lukasiewicz_chains_satisfy_axioms():
+    triples = 0
+    for d in range(1, MAX_DENOMINATOR + 1):
+        rep = check_mv_axioms(lukasiewicz_chain(d))
+        assert rep.passed, (d, rep.violations[:3])
+        triples += rep.triples_checked
+    assert triples == sum((d + 1) ** 3 for d in range(1, 25)) == 105_624
+
+
+def test_lukasiewicz_chain_matches_integer_oracle():
+    for d in range(1, MAX_DENOMINATOR + 1):
+        assert lukasiewicz_chain(d) == luka_chain(d)
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        # the sum not truncated at 1 leaves the chain
+        ("luka_plus", lambda a, b: Fraction(a) + Fraction(b)),
+        # truncated at 1 - 1/24 instead of 1
+        ("luka_plus", lambda a, b: min(Fraction(a) + Fraction(b), Fraction(23, 24))),
+        # the Lukasiewicz product max(a + b - 1, 0) in place of the sum
+        ("luka_plus", lambda a, b: max(Fraction(a) + Fraction(b) - 1, Fraction(0))),
+        ("luka_neg", lambda a: Fraction(a)),
+    ],
+    ids=["untruncated-sum", "sum-truncated-at-23/24", "product-as-sum", "identity-neg"],
+)
+def test_wrong_luka_operation_never_passes(monkeypatch, name, wrong):
+    monkeypatch.setattr(divisible, name, wrong)
+    verdicts = []
+    for d in range(1, MAX_DENOMINATOR + 1):
+        try:
+            verdicts.append(check_mv_axioms(lukasiewicz_chain(d)).passed)
+        except KeyError:  # an operation left the chain
+            verdicts.append(False)
+    assert not all(verdicts)
 
 
 @given(a=unit_fractions, b=unit_fractions)
@@ -160,14 +194,38 @@ def test_sharp_elements_report_n2():
     rep = sharp_elements_report(2)
     assert rep.passed
     assert rep.sharp_count == 4
+    assert rep.nonindicators_unsharp is True
     assert rep.isomorphic_to_powerset is True
 
 
 def test_sharp_elements_compared_up_to_the_carrier_cap():
-    # 2^6 indicators fit in MAX_CARRIER, 2^7 do not
-    assert sharp_elements_report(6).isomorphic_to_powerset is True
-    rep = sharp_elements_report(7)
-    assert rep.passed and rep.isomorphic_to_powerset is None
+    # 2^6 indicators fit in MAX_CARRIER
+    rep = sharp_elements_report(6)
+    assert rep.passed and rep.sharp_count == 64
+
+
+@pytest.mark.parametrize("n", [7, 10**6])
+def test_sharp_elements_report_refused_before_any_indicator(n):
+    # past the cap, without forming the 2^n indicators
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=r"indicator_algebra has .* \(cap 64\)"):
+        sharp_elements_report(n)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda f: all(min(v, 1 - v) in (0, Fraction(1, 2)) for v in f.values),
+        lambda f: all(min(v, 1 - v) <= Fraction(1, MAX_DENOMINATOR) for v in f.values),
+    ],
+    ids=["sharp-at-1/2", "sharp-at-1/24"],
+)
+def test_sharp_elements_report_catches_a_sharp_nonindicator(monkeypatch, wrong):
+    monkeypatch.setattr(divisible, "is_sharp_function", wrong)
+    rep = sharp_elements_report(2)
+    assert rep.all_indicators_sharp and not rep.nonindicators_unsharp
+    assert not rep.passed
 
 
 def test_sample_function_deterministic():

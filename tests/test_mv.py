@@ -17,7 +17,6 @@ from qlogic.mv import (
     FiniteMV,
     HiddenVariableReport,
     MVReport,
-    SampledMV,
     _mixture_weights,
     chain_interval,
     check_lifted_state,
@@ -51,7 +50,6 @@ def element_ops(mv):
 def test_luka_chain_satisfies_axioms():
     rep = check_mv_axioms(luka_chain(4))
     assert rep.passed
-    assert rep.mode == "exhaustive"
     assert rep.triples_checked == 5**3
 
 
@@ -560,7 +558,6 @@ def scalar_mv_report(mv):
             violations.append(f"associativity fails on ({a}, {b}, {c})")
     return MVReport(
         passed=not violations,
-        mode="exhaustive",
         triples_checked=len(elems) ** 3,
         violations=tuple(violations),
     )
@@ -607,15 +604,6 @@ def test_each_failing_mv_instance_reported_once(broken):
     expected = set(scalar_mv_report(bad).violations)
     rep = check_mv_axioms(bad)
     assert rep.triples_checked == 5**3
-    assert sorted(rep.violations) == sorted(expected)
-    plus, neg = element_ops(bad)
-    elems = bad.elements
-    sampled = SampledMV(
-        plus, neg, elems[bad.zero], elems[bad.one], lambda rng: rng.choice(elems)
-    )
-    rep = check_mv_axioms(sampled)
-    # the 1000 draws hit all 125 triples
-    assert (rep.mode, rep.triples_checked, rep.seed) == ("sampled", 125, DEFAULT_SEED)
     assert len(set(rep.violations)) == len(rep.violations)
     assert set(rep.violations) == expected
 
