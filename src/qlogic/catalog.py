@@ -40,8 +40,11 @@ def check_carrier(name: str, size: int) -> None:
 
 def subset_carrier(k: int, name: str):
     """Subsets of {1..k} as bitmasks by size, then value; labels like "{1,3}"."""
-    # refused under the constructor's name before any subset is formed; past
-    # MAX_CARRIER points 2^MAX_CARRIER stands in for 2^k, so k can be huge
+    # refused under the constructor's name before any subset is formed: k < 1
+    # (no unit apart from zero), and past MAX_CARRIER points, where
+    # 2^MAX_CARRIER stands in for 2^k, so k can be huge
+    if k < 1:
+        raise BoundExceeded(f"{name} needs k >= 1, got {k}")
     check_carrier(name, 1 << min(k, MAX_CARRIER))
     masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
 
@@ -53,8 +56,6 @@ def subset_carrier(k: int, name: str):
 
 def boolean_powerset(k: int) -> FiniteEffectAlgebra:
     """Subsets of {1..k} under disjoint union; the Boolean reference family."""
-    if k < 1:
-        raise BoundExceeded(f"boolean_powerset needs k >= 1, got {k}")
     masks, label = subset_carrier(k, "boolean_powerset")
     pos = {m: i for i, m in enumerate(masks)}
     rows = [[None if a & b else pos[a | b] for b in masks] for a in masks]

@@ -30,8 +30,18 @@ DEFAULT_SEED = 20260823
 # weights drawn from random.Random(DEFAULT_SEED)
 MIXTURES = 100
 # verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT and
-# packs each into one byte, so it must stay below 256
+# packs each into one byte, so it must stay below 256; _mixture_weights reads
+# each draw off the top byte of a generator output, which also needs its bit
+# length to be at most 8
 MAX_MIXTURE_WEIGHT = 12
+# getrandbits(b) is the top b bits of one 32-bit generator output; indexed
+# by an output's top byte, _WEIGHT_OF_TOP_BYTE gives that draw plus one, and
+# _REDRAWN_TOP_BYTES lists the top bytes of the draws randint redraws
+_SHIFT = 8 - MAX_MIXTURE_WEIGHT.bit_length()
+_WEIGHT_OF_TOP_BYTE = bytes(
+    [(b >> _SHIFT) + 1 if b >> _SHIFT < MAX_MIXTURE_WEIGHT else 0 for b in range(256)]
+)
+_REDRAWN_TOP_BYTES = bytes([b for b in range(256) if b >> _SHIFT >= MAX_MIXTURE_WEIGHT])
 
 
 class ConstructionFailed(AlgebraError):
@@ -331,17 +341,28 @@ def check_lifted_state(
     return violations
 
 
-def _mixture_weights(seed: int, count: int) -> list[int]:
+def _mixture_weights(seed: int, count: int) -> bytes:
     """The first count draws of random.Random(seed).randint(1,
-    MAX_MIXTURE_WEIGHT), taken the way randint takes them: getrandbits of
-    the weight's bit length, redrawn while out of range."""
+    MAX_MIXTURE_WEIGHT), one per byte.
+
+    randint takes getrandbits of the weight's bit length, the top bits of
+    one 32-bit output, and redraws while it is out of range.
+    getrandbits(32 * m) is m successive outputs as 32-bit words, the first
+    the least significant, so every fourth of its little-endian bytes is an
+    output's top byte, and one translate maps those to weights and drops the
+    redrawn ones.  A round draws a little more than is expected to be
+    missing and another round follows if it falls short; the generator is
+    local, so the draws past the count are never used.
+    """
     rng = random.Random(seed)
-    bits = MAX_MIXTURE_WEIGHT.bit_length()
-    weights: list[int] = []
+    weights = b""
     while len(weights) < count:
-        draws = map(rng.getrandbits, [bits] * (count - len(weights)))
-        weights += [r + 1 for r in draws if r < MAX_MIXTURE_WEIGHT]
-    return weights
+        # a draw is kept with odds MAX_MIXTURE_WEIGHT in 2^bit_length
+        missing = count - len(weights)
+        m = (missing << MAX_MIXTURE_WEIGHT.bit_length()) // MAX_MIXTURE_WEIGHT + 16
+        top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        weights += top.translate(_WEIGHT_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
+    return weights[:count]
 
 
 class HiddenVariableReport(NamedTuple):
@@ -366,34 +387,18 @@ def verify_hidden_variable(
     vector sum(w_i * V_i) at scale L*sum(w), V_i = polytope.vertices[i] and
     L = polytope.denominator.  The weights are the same draws as
     random.Random(DEFAULT_SEED).randint(1, MAX_MIXTURE_WEIGHT) gives, row by
-    row.
-    With no negative entry, one check covers all states: state j is lane j
-    of one int per element, a lane being a whole number of bytes.  With k
-    vertices a value is at most MAX_MIXTURE_WEIGHT * k * max(L, largest
-    entry), and a lane holds at least twice that, so any value or sum of two
-    fits its lane.  A failure is rechecked per state.
+    row.  The weight vectors come from _weight_batches: first all states
+    packed into lanes, if no vertex entry is negative, then, only if that
+    check fails, one row per state, which gives the messages.
     """
     den, vertices = polytope.denominator, polytope.vertices
     k = len(vertices)
-    rows = [[int(i == j) for j in range(k)] for i in range(k)]
-    if vertices:
-        weights = _mixture_weights(DEFAULT_SEED, k * MIXTURES)
-        rows += [weights[i : i + k] for i in range(0, k * MIXTURES, k)]
     violations: list[str] = []
-    if rows:
+    if vertices:
         lift = _lift_index(model)
         columns = list(zip(*vertices))
-        batches = [rows]
-        if min(map(min, vertices)) >= 0:
-            top = max(den, *map(max, vertices))
-            nbytes = ((2 * MAX_MIXTURE_WEIGHT * k * top).bit_length() + 7) // 8
-            lanes = bytearray(nbytes * len(rows))
-            packed = []
-            for column in zip(*rows):
-                lanes[::nbytes] = bytes(column)
-                packed.append(int.from_bytes(lanes, "little"))
-            batches.insert(0, [packed])
-        for batch in batches:
+        weights = _mixture_weights(DEFAULT_SEED, k * MIXTURES)
+        for batch in _weight_batches(vertices, den, weights):
             violations = []
             for w in batch:
                 omega = [sum(map(mul, w, column)) for column in columns]
@@ -407,8 +412,36 @@ def verify_hidden_variable(
     return HiddenVariableReport(
         passed=not violations,
         states_checked=k,
-        mixtures_checked=len(rows) - k,
+        mixtures_checked=MIXTURES if vertices else 0,
         order_reflection=reflection,
         violations=tuple(violations),
         seed=DEFAULT_SEED,
     )
+
+
+def _weight_batches(vertices, den: int, weights: bytes):
+    """verify_hidden_variable's weight vectors: the k vertices' unit
+    vectors, then one vector of k weights per mixture.
+
+    With no negative vertex entry, the first batch checks all states at
+    once: vertex j is one int whose lane s holds state s's weight on it, a
+    lane being a whole number of bytes, so vertex j has a 1 in lane j and
+    the weights weights[j::k] in lanes k, k+1, ....  A value is at most
+    MAX_MIXTURE_WEIGHT * k * max(den, largest entry) and a lane holds at
+    least twice that, so any value or sum of two fits its lane.  The rows
+    of the next batch, one per state, are built only if it is asked for.
+    """
+    k = len(vertices)
+    if min(map(min, vertices)) >= 0:
+        top = max(den, *map(max, vertices))
+        nbytes = ((2 * MAX_MIXTURE_WEIGHT * k * top).bit_length() + 7) // 8
+        lanes = bytearray(nbytes * (k + MIXTURES))
+        packed = []
+        for j in range(k):
+            lanes[j * nbytes] = 1
+            lanes[k * nbytes :: nbytes] = weights[j::k]
+            packed.append(int.from_bytes(lanes, "little"))
+            lanes[j * nbytes] = 0
+        yield [packed]
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    yield rows + [weights[i : i + k] for i in range(0, k * MIXTURES, k)]

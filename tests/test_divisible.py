@@ -213,6 +213,18 @@ def test_sharp_elements_report_refused_before_any_indicator(n):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_indicators_on_fewer_than_one_point_refused(n):
+    # subset_carrier refuses k < 1 for both constructors that use it
+    for build in (indicator_algebra, sharp_elements_report):
+        with pytest.raises(BoundExceeded) as refused:
+            build(n)
+        assert str(refused.value) == f"indicator_algebra needs k >= 1, got {n}"
+    with pytest.raises(BoundExceeded) as refused:
+        catalog.boolean_powerset(n)
+    assert str(refused.value) == f"boolean_powerset needs k >= 1, got {n}"
+
+
 @pytest.mark.parametrize(
     "wrong",
     [

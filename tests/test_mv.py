@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 
@@ -610,11 +611,61 @@ def test_each_failing_mv_instance_reported_once(broken):
 
 @pytest.mark.parametrize("seed", (DEFAULT_SEED, 0, 1, 7, -7, 2**70))
 def test_mixture_weights_are_the_randint_draws(seed):
+    # the counts verify_hidden_variable asks for with 1..8 vertices, too
     rng = random.Random(seed)
     expected = [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(12_000)]
-    assert _mixture_weights(seed, 12_000) == expected
-    assert _mixture_weights(seed, 5) == expected[:5]
-    assert _mixture_weights(seed, 0) == []
+    for count in (12_000, 5, 0, *(k * MIXTURES for k in range(1, 9))):
+        assert list(_mixture_weights(seed, count)) == expected[:count]
+
+
+def test_mixture_weights_draw_another_round_when_one_falls_short(monkeypatch):
+    # seed 1 and 400 weights (4 vertices): the first round's draws keep
+    # fewer than 400, so a second round is drawn, and the weights are still
+    # randint's
+    seed, count = 1, 4 * MIXTURES
+    rounds = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            rounds.append(k // 32)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr("qlogic.mv.random", SimpleNamespace(Random=Recording))
+    weights = _mixture_weights(seed, count)
+    assert len(rounds) >= 2
+    rng = random.Random(seed)
+    bits = MAX_MIXTURE_WEIGHT.bit_length()
+    first_round = [rng.getrandbits(bits) for _ in range(rounds[0])]
+    assert sum(r < MAX_MIXTURE_WEIGHT for r in first_round) < count
+    rng = random.Random(seed)
+    assert list(weights) == [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(count)]
+
+
+def test_packed_check_runs_once_and_states_one_by_one_only_on_failure(
+    corpus, monkeypatch
+):
+    # with no negative vertex entry one check_lifted_state call covers every
+    # state; a model that fails it is checked again once per state
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return check_lifted_state(*args)
+
+    monkeypatch.setattr("qlogic.mv.check_lifted_state", recording)
+    for model, poly in catalog_models(corpus):
+        k = len(poly.vertices)
+        assert min(map(min, poly.vertices)) >= 0
+        calls.clear()
+        assert verify_hidden_variable(model, poly).passed
+        assert len(calls) == 1
+        # vertex 0 at 3/2 on the unit is not a state, and no entry is negative
+        moves = [[Fraction(0)] * model.algebra.size]
+        moves[0][model.algebra.unit] = Fraction(1, 2)
+        bad = moved_vertices(poly, moves)
+        calls.clear()
+        assert not verify_hidden_variable(model, bad).passed
+        assert len(calls) == 1 + k + MIXTURES
 
 
 def with_h_swapped(model, i):
