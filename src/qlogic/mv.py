@@ -27,21 +27,9 @@ from .states import StatePolytope, check_state
 
 DEFAULT_SEED = 20260823
 # verify_hidden_variable checks MIXTURES mixtures of the vertex states, their
-# weights drawn from random.Random(DEFAULT_SEED)
+# weights drawn from random.Random(DEFAULT_SEED).randint(1, MAX_MIXTURE_WEIGHT)
 MIXTURES = 100
-# verify_hidden_variable draws mixture weights from 1..MAX_MIXTURE_WEIGHT and
-# packs each into one byte, so it must stay below 256; _mixture_weights reads
-# each draw off the top byte of a generator output, which also needs its bit
-# length to be at most 8
 MAX_MIXTURE_WEIGHT = 12
-# getrandbits(b) is the top b bits of one 32-bit generator output; indexed
-# by an output's top byte, _WEIGHT_OF_TOP_BYTE gives that draw plus one, and
-# _REDRAWN_TOP_BYTES lists the top bytes of the draws randint redraws
-_SHIFT = 8 - MAX_MIXTURE_WEIGHT.bit_length()
-_WEIGHT_OF_TOP_BYTE = bytes(
-    [(b >> _SHIFT) + 1 if b >> _SHIFT < MAX_MIXTURE_WEIGHT else 0 for b in range(256)]
-)
-_REDRAWN_TOP_BYTES = bytes([b for b in range(256) if b >> _SHIFT >= MAX_MIXTURE_WEIGHT])
 
 
 class ConstructionFailed(AlgebraError):
@@ -341,30 +329,6 @@ def check_lifted_state(
     return violations
 
 
-def _mixture_weights(seed: int, count: int) -> bytes:
-    """The first count draws of random.Random(seed).randint(1,
-    MAX_MIXTURE_WEIGHT), one per byte.
-
-    randint takes getrandbits of the weight's bit length, the top bits of
-    one 32-bit output, and redraws while it is out of range.
-    getrandbits(32 * m) is m successive outputs as 32-bit words, the first
-    the least significant, so every fourth of its little-endian bytes is an
-    output's top byte, and one translate maps those to weights and drops the
-    redrawn ones.  A round draws a little more than is expected to be
-    missing and another round follows if it falls short; the generator is
-    local, so the draws past the count are never used.
-    """
-    rng = random.Random(seed)
-    weights = b""
-    while len(weights) < count:
-        # a draw is kept with odds MAX_MIXTURE_WEIGHT in 2^bit_length
-        missing = count - len(weights)
-        m = (missing << MAX_MIXTURE_WEIGHT.bit_length()) // MAX_MIXTURE_WEIGHT + 16
-        top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        weights += top.translate(_WEIGHT_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
-    return weights[:count]
-
-
 class HiddenVariableReport(NamedTuple):
     passed: bool
     states_checked: int
@@ -385,63 +349,40 @@ def verify_hidden_variable(
 
     The state with integer weights w (a unit vector for a vertex) is the int
     vector sum(w_i * V_i) at scale L*sum(w), V_i = polytope.vertices[i] and
-    L = polytope.denominator.  The weights are the same draws as
-    random.Random(DEFAULT_SEED).randint(1, MAX_MIXTURE_WEIGHT) gives, row by
-    row.  The weight vectors come from _weight_batches: first all states
-    packed into lanes, if no vertex entry is negative, then, only if that
-    check fails, one row per state, which gives the messages.
+    L = polytope.denominator.  The weights are the draws of
+    random.Random(DEFAULT_SEED).randint(1, MAX_MIXTURE_WEIGHT), row by row.
+
+    Each vertex is checked once.  The mixtures need checking only if a
+    vertex fails: every condition of check_lifted_state but nonnegativity
+    (agreement with the source, the value scale at the unit, additivity on
+    model.induced) is linear in the state, and a mixture of nonnegative
+    vertices is nonnegative because every weight is at least 1.  So when
+    all vertices pass, all mixtures pass, and the weights are drawn only
+    when some vertex fails; their messages follow the vertices', state by
+    state.
     """
     den, vertices = polytope.denominator, polytope.vertices
-    k = len(vertices)
     violations: list[str] = []
     if vertices:
         lift = _lift_index(model)
-        columns = list(zip(*vertices))
-        weights = _mixture_weights(DEFAULT_SEED, k * MIXTURES)
-        for batch in _weight_batches(vertices, den, weights):
-            violations = []
-            for w in batch:
+        for v in vertices:
+            violations += check_lifted_state(model, v, [v[x] for x in lift], den)
+        if violations:
+            columns = list(zip(*vertices))
+            rng = random.Random(DEFAULT_SEED)
+            for _ in range(MIXTURES):
+                w = [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in vertices]
                 omega = [sum(map(mul, w, column)) for column in columns]
                 omega_bar = [omega[x] for x in lift]
                 violations += check_lifted_state(model, omega, omega_bar, den * sum(w))
-            if not violations:
-                break
     reflection = order_reflection_holds(model)
     if not reflection:
         violations.append("order reflection of h fails")
     return HiddenVariableReport(
         passed=not violations,
-        states_checked=k,
+        states_checked=len(vertices),
         mixtures_checked=MIXTURES if vertices else 0,
         order_reflection=reflection,
         violations=tuple(violations),
         seed=DEFAULT_SEED,
     )
-
-
-def _weight_batches(vertices, den: int, weights: bytes):
-    """verify_hidden_variable's weight vectors: the k vertices' unit
-    vectors, then one vector of k weights per mixture.
-
-    With no negative vertex entry, the first batch checks all states at
-    once: vertex j is one int whose lane s holds state s's weight on it, a
-    lane being a whole number of bytes, so vertex j has a 1 in lane j and
-    the weights weights[j::k] in lanes k, k+1, ....  A value is at most
-    MAX_MIXTURE_WEIGHT * k * max(den, largest entry) and a lane holds at
-    least twice that, so any value or sum of two fits its lane.  The rows
-    of the next batch, one per state, are built only if it is asked for.
-    """
-    k = len(vertices)
-    if min(map(min, vertices)) >= 0:
-        top = max(den, *map(max, vertices))
-        nbytes = ((2 * MAX_MIXTURE_WEIGHT * k * top).bit_length() + 7) // 8
-        lanes = bytearray(nbytes * (k + MIXTURES))
-        packed = []
-        for j in range(k):
-            lanes[j * nbytes] = 1
-            lanes[k * nbytes :: nbytes] = weights[j::k]
-            packed.append(int.from_bytes(lanes, "little"))
-            lanes[j * nbytes] = 0
-        yield [packed]
-    rows = [[int(i == j) for j in range(k)] for i in range(k)]
-    yield rows + [weights[i : i + k] for i in range(0, k * MIXTURES, k)]

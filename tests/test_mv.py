@@ -18,7 +18,6 @@ from qlogic.mv import (
     FiniteMV,
     HiddenVariableReport,
     MVReport,
-    _mixture_weights,
     chain_interval,
     check_lifted_state,
     check_mv_axioms,
@@ -495,21 +494,24 @@ def test_verification_at_a_large_common_denominator(corpus):
         assert rep == fraction_verify_hidden_variable(model, rescaled)
 
 
-def test_lane_width_keeps_errors_from_cancelling(corpus):
+def test_errors_cancelling_across_states_are_still_reported(corpus):
     # state j has weights rows[j] (the vertices, then the mixtures), so errors
-    # d0 and d1 at the unit of vertices 0 and 1 put sum_i rows[j][i] * d_i in
-    # lane j; with d0 = c1 and d1 = -c0, c_i = sum_j rows[j][i] << t*j, the
-    # lanes' errors would cancel in lanes t bits wide, so the check must fail
+    # d0 and d1 at the unit of vertices 0 and 1 give it the error
+    # sum_i rows[j][i] * d_i; with d0 = c1 and d1 = -c0, c_i = sum_j rows[j][i]
+    # << t*j, the errors of all states would cancel in a sum that gives each
+    # state t bits, so the check must fail and list every state's messages
     model, poly = catalog_models(corpus)[0]
     k, unit = len(poly.vertices), model.algebra.unit
-    weights = _mixture_weights(DEFAULT_SEED, k * MIXTURES)
+    rng = random.Random(DEFAULT_SEED)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
-    rows += [weights[i : i + k] for i in range(0, k * MIXTURES, k)]
+    rows += [
+        [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(k)] for _ in range(MIXTURES)
+    ]
     for t in range(80):
         c0, c1 = (sum(w[i] << t * j for j, w in enumerate(rows)) for i in (0, 1))
         moves = [[Fraction(0)] * model.algebra.size for _ in range(2)]
         # d0 and d1 scaled by 1/(4*c0): vertex 1 keeps 3/4 at the unit, so no
-        # entry is negative and the lanes are used
+        # entry is negative
         moves[0][unit], moves[1][unit] = Fraction(c1, 4 * c0), Fraction(-1, 4)
         bad = moved_vertices(poly, moves)
         rep = verify_hidden_variable(model, bad)
@@ -609,43 +611,16 @@ def test_each_failing_mv_instance_reported_once(broken):
     assert set(rep.violations) == expected
 
 
-@pytest.mark.parametrize("seed", (DEFAULT_SEED, 0, 1, 7, -7, 2**70))
-def test_mixture_weights_are_the_randint_draws(seed):
-    # the counts verify_hidden_variable asks for with 1..8 vertices, too
-    rng = random.Random(seed)
-    expected = [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(12_000)]
-    for count in (12_000, 5, 0, *(k * MIXTURES for k in range(1, 9))):
-        assert list(_mixture_weights(seed, count)) == expected[:count]
+def unit_moved_up(model, poly):
+    """The polytope with vertex 0 at 3/2 on the unit: not a state, and no
+    entry is negative."""
+    moves = [[Fraction(0)] * model.algebra.size]
+    moves[0][model.algebra.unit] = Fraction(1, 2)
+    return moved_vertices(poly, moves)
 
 
-def test_mixture_weights_draw_another_round_when_one_falls_short(monkeypatch):
-    # seed 1 and 400 weights (4 vertices): the first round's draws keep
-    # fewer than 400, so a second round is drawn, and the weights are still
-    # randint's
-    seed, count = 1, 4 * MIXTURES
-    rounds = []
-
-    class Recording(random.Random):
-        def getrandbits(self, k):
-            rounds.append(k // 32)
-            return super().getrandbits(k)
-
-    monkeypatch.setattr("qlogic.mv.random", SimpleNamespace(Random=Recording))
-    weights = _mixture_weights(seed, count)
-    assert len(rounds) >= 2
-    rng = random.Random(seed)
-    bits = MAX_MIXTURE_WEIGHT.bit_length()
-    first_round = [rng.getrandbits(bits) for _ in range(rounds[0])]
-    assert sum(r < MAX_MIXTURE_WEIGHT for r in first_round) < count
-    rng = random.Random(seed)
-    assert list(weights) == [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(count)]
-
-
-def test_packed_check_runs_once_and_states_one_by_one_only_on_failure(
-    corpus, monkeypatch
-):
-    # with no negative vertex entry one check_lifted_state call covers every
-    # state; a model that fails it is checked again once per state
+def recorded_checks(monkeypatch):
+    """The argument tuples of every check_lifted_state call from now on."""
     calls = []
 
     def recording(*args):
@@ -653,19 +628,40 @@ def test_packed_check_runs_once_and_states_one_by_one_only_on_failure(
         return check_lifted_state(*args)
 
     monkeypatch.setattr("qlogic.mv.check_lifted_state", recording)
+    return calls
+
+
+def test_vertices_checked_once_and_weights_drawn_only_on_failure(
+    corpus, monkeypatch
+):
+    # a passing model makes one check_lifted_state call per vertex and draws
+    # no weights; a failing one is checked again once per mixture
+    def no_draws(seed):
+        raise AssertionError("weights drawn for a model whose vertices pass")
+
+    calls = recorded_checks(monkeypatch)
     for model, poly in catalog_models(corpus):
         k = len(poly.vertices)
-        assert min(map(min, poly.vertices)) >= 0
+        monkeypatch.setattr("qlogic.mv.random", SimpleNamespace(Random=no_draws))
         calls.clear()
         assert verify_hidden_variable(model, poly).passed
-        assert len(calls) == 1
-        # vertex 0 at 3/2 on the unit is not a state, and no entry is negative
-        moves = [[Fraction(0)] * model.algebra.size]
-        moves[0][model.algebra.unit] = Fraction(1, 2)
-        bad = moved_vertices(poly, moves)
+        assert len(calls) == k
+        monkeypatch.setattr("qlogic.mv.random", random)
         calls.clear()
-        assert not verify_hidden_variable(model, bad).passed
-        assert len(calls) == 1 + k + MIXTURES
+        assert not verify_hidden_variable(model, unit_moved_up(model, poly)).passed
+        assert len(calls) == k + MIXTURES
+
+
+def test_failing_model_checks_the_randint_mixtures(corpus, monkeypatch):
+    # each checked state, divided by its scale, is the oracle's state: the
+    # vertices, then the mixtures with randint weights, in order
+    calls = recorded_checks(monkeypatch)
+    for model, poly in catalog_models(corpus):
+        bad = unit_moved_up(model, poly)
+        calls.clear()
+        verify_hidden_variable(model, bad)
+        checked = [[Fraction(x, scale) for x in omega] for _, omega, _, scale in calls]
+        assert checked == fraction_states(bad)
 
 
 def with_h_swapped(model, i):
