@@ -664,6 +664,69 @@ def test_failing_model_checks_the_randint_mixtures(corpus, monkeypatch):
         assert checked == fraction_states(bad)
 
 
+def recorded_draws(monkeypatch):
+    """One list per random.Random that qlogic.mv makes from now on, holding
+    that generator's randint results in order."""
+    rounds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rounds.append([])
+
+        def randint(self, a, b):
+            value = super().randint(a, b)
+            rounds[-1].append(value)
+            return value
+
+    monkeypatch.setattr("qlogic.mv.random", SimpleNamespace(Random=Recording))
+    return rounds
+
+
+@pytest.mark.parametrize("seed", (DEFAULT_SEED, 0, 1, 7, -7, 2**70))
+def test_mixture_weights_are_the_randint_draws(seed, corpus, monkeypatch):
+    # with the module's seed moved, a failing model's mixtures take their
+    # weights from random.Random(seed).randint(1, MAX_MIXTURE_WEIGHT), k per
+    # mixture and no more, and each checked mixture is sum(w_i * V_i) at
+    # scale L * sum(w)
+    monkeypatch.setattr("qlogic.mv.DEFAULT_SEED", seed)
+    rounds = recorded_draws(monkeypatch)
+    calls = recorded_checks(monkeypatch)
+    for model, poly in catalog_models(corpus):
+        bad = unit_moved_up(model, poly)
+        k, den = len(bad.vertices), bad.denominator
+        rounds.clear()
+        calls.clear()
+        assert verify_hidden_variable(model, bad).seed == seed
+        rng = random.Random(seed)
+        expected = [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(k * MIXTURES)]
+        assert rounds == [expected]
+        rows = [expected[i : i + k] for i in range(0, k * MIXTURES, k)]
+        for w, (_, omega, _, scale) in zip(rows, calls[k:], strict=True):
+            assert scale == den * sum(w)
+            assert list(omega) == [
+                sum(wi * v[p] for wi, v in zip(w, bad.vertices))
+                for p in range(len(omega))
+            ]
+
+
+def test_mixture_weights_draw_another_round_when_one_falls_short(
+    corpus, monkeypatch
+):
+    # seed 1 and the four-vertex model, 400 weights: each failing call draws
+    # its own round from the seed, so a second call repeats the first call's
+    # weights and report instead of continuing its stream
+    monkeypatch.setattr("qlogic.mv.DEFAULT_SEED", 1)
+    rounds = recorded_draws(monkeypatch)
+    model, poly = next((m, p) for m, p in catalog_models(corpus) if len(p.vertices) == 4)
+    bad = unit_moved_up(model, poly)
+    first, second = (verify_hidden_variable(model, bad) for _ in range(2))
+    rng = random.Random(1)
+    expected = [rng.randint(1, MAX_MIXTURE_WEIGHT) for _ in range(4 * MIXTURES)]
+    assert rounds == [expected, expected]
+    assert first == second and not first.passed
+
+
 def with_h_swapped(model, i):
     """The model with the h images of two distinct elements swapped; i picks them."""
     n = model.algebra.size
