@@ -10,8 +10,10 @@ defined, read from per-row lists of the defined positions.  The order,
 supplements, atoms, differences, meets, joins, incompatible pairs and
 defined sums are then derived in one pass over the table, on first use,
 into one record kept on the algebra instance (``derive_order``), which
-callers read.  ``structure_report`` decides orthoalgebra-ness, coherence and
-the isotropic indices once each, and Boolean-ness from that coherence.
+callers read; the order is kept only as each element's down- and up-set
+bitmasks, so an order scan tests whole words.  ``structure_report`` decides
+orthoalgebra-ness, coherence and the isotropic indices once each, and
+Boolean-ness from that coherence.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import chain, product, starmap
-from operator import and_, is_not
+from operator import and_
 from typing import NamedTuple
 
 ElementId = int
 
 MAX_CARRIER = 64
+# the seed of the hidden-variable check's mixture weights, on every `hidden` report
+DEFAULT_SEED = 20260823
 
 
 class AlgebraError(Exception):
@@ -334,7 +338,9 @@ def _validate_checked(labels, zero, unit, table) -> FiniteEffectAlgebra:
 class DerivedStructure(NamedTuple):
     """Order structure derived from the sum table, built once per algebra.
 
-    ``leq[p][q]``: p <= q.  ``difference[p][q]``: the r with p + r = q, or None.
+    ``down[q]``/``up[p]``: bitmasks of the elements below q / above p, each
+    end included, so p <= q iff ``down[q] >> p & 1`` iff ``up[p] >> q & 1``.
+    ``difference[p][q]``: the r with p + r = q, or None.
     ``atoms``: the minimal nonzero elements, in carrier order.
     ``meet``/``join``: greatest lower / least upper bound of a pair, or None.
     ``incompatible_pairs``: the pairs p < q for which ``are_compatible`` is empty.
@@ -342,7 +348,8 @@ class DerivedStructure(NamedTuple):
     (a, b) order; the sum is commutative, so this is each defined sum once.
     """
 
-    leq: tuple[tuple[bool, ...], ...]
+    down: tuple[int, ...]
+    up: tuple[int, ...]
     supplement: tuple[ElementId, ...]
     atoms: tuple[ElementId, ...]
     difference: tuple[tuple[ElementId | None, ...], ...]
@@ -360,13 +367,11 @@ def derive_order(alg: FiniteEffectAlgebra) -> DerivedStructure:
 def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
     n = alg.size
     t = alg.table
-    nones = (None,) * n
     # down[q] and up[p] are bitmasks of the elements below q and above p;
     # orth[p] lists the q with p + q defined
     down = [0] * n
     up = []
     orth = []
-    leq = []
     difference = []
     sums = []
     for p, row in enumerate(t):
@@ -382,7 +387,6 @@ def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
             if p <= r:
                 sums.append((p, r, q))
         up.append(mask)
-        leq.append(tuple(map(is_not, diff, nones)))
         difference.append(tuple(diff))
 
     # (x + z, y + z) is compatible for every mutually orthogonal (x, y, z)
@@ -407,7 +411,8 @@ def _derive(alg: FiniteEffectAlgebra) -> DerivedStructure:
     by_down = {mask: p for p, mask in enumerate(down)}.get
     by_up = {mask: p for p, mask in enumerate(up)}.get
     return DerivedStructure(
-        leq=tuple(leq),
+        down=tuple(down),
+        up=tuple(up),
         supplement=tuple([row[alg.unit] for row in difference]),
         # an atom has exactly two elements below it: 0 and itself
         atoms=tuple([p for p, mask in enumerate(down) if mask.bit_count() == 2]),
@@ -430,10 +435,8 @@ def sharp_elements(alg: FiniteEffectAlgebra) -> tuple[ElementId, ...]:
 
 def is_atomic(alg: FiniteEffectAlgebra) -> bool:
     order = derive_order(alg)
-    return all(
-        p == alg.zero or any(order.leq[a][p] for a in order.atoms)
-        for p in alg.elements()
-    )
+    atom_mask = sum(1 << a for a in order.atoms)
+    return all(p == alg.zero or mask & atom_mask for p, mask in enumerate(order.down))
 
 
 def isotropic_index(alg: FiniteEffectAlgebra, p: ElementId) -> int:
@@ -541,9 +544,9 @@ def _boolean_via_lattice(alg: FiniteEffectAlgebra) -> bool:
     # those below both, so if the map is one-to-one, x <= y iff the meet is
     # x iff the set of x is a subset of the set of y: the map embeds the
     # order in the powerset, and n = 2^#atoms makes it onto.
-    atoms, lo = order.atoms, order.leq
-    below = {sum(1 << i for i, a in enumerate(atoms) if lo[a][x]) for x in range(n)}
-    return len(below) == n == 1 << len(atoms)
+    atom_mask = sum(1 << a for a in order.atoms)
+    below = {mask & atom_mask for mask in order.down}
+    return len(below) == n == 1 << len(order.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +608,9 @@ def find_isomorphism(
         return None
 
     def profile(alg, p):
-        lo = derive_order(alg).leq
+        order = derive_order(alg)
         degree = sum(1 for q in alg.elements() if alg.table[p][q] is not None)
-        down = sum(1 for q in alg.elements() if lo[q][p])
-        up = sum(1 for q in alg.elements() if lo[p][q])
-        return (degree, down, up)
+        return (degree, order.down[p].bit_count(), order.up[p].bit_count())
 
     prof_a = {p: profile(a, p) for p in a.elements()}
     prof_b = {p: profile(b, p) for p in b.elements()}

@@ -146,16 +146,18 @@ def _unmet(reason: str) -> tuple[dict, int]:
 
 
 def cmd_hidden(alg, args) -> tuple[dict, int]:
-    from . import cloning, mv, states
+    from . import cloning
 
     if args.budget is None:
         args.budget = cloning.DEFAULT_NODE_BUDGET
-    args.seed = mv.DEFAULT_SEED  # main stamps it on the report
+    args.seed = algebra.DEFAULT_SEED  # main stamps it on the report
     outcome = cloning.find_cloning_bimorphism(alg, node_budget=args.budget)
     if outcome.status == "aborted":
         return {"error": "cloning search aborted"}, EXIT_ABORTED
     if outcome.status == "no-witness":
         return _unmet("no cloning witness exists")
+    from . import mv, states
+
     if args.parts is not None:
         try:
             parts = tuple(alg.index(lbl) for lbl in _split_parts(args.parts))

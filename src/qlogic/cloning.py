@@ -97,14 +97,15 @@ def find_cloning_bimorphism(
     n = alg.size
     sumt = alg.table
     order = derive_order(alg)
-    lo = order.leq
+    down = order.down
     sub = order.difference
 
     branch_cells = [(p, q) for p in order.atoms for q in order.atoms]
     touch: list[list[tuple[ElementId, ElementId, ElementId]]] = [[] for _ in range(n)]
     for triple in order.sums:
         if alg.zero not in triple:
-            for x in set(triple):
+            a, b, s = triple  # s is neither a nor b, which are nonzero
+            for x in (a, s) if a == b else triple:
                 touch[x].append(triple)
 
     def propagate(
@@ -190,9 +191,10 @@ def find_cloning_bimorphism(
             witnesses.append(CloningWitness(algebra=alg, table=full))
             return
         p, q = cell
+        # sound filter: any witness has c(p,q) <= p and c(p,q) <= q
+        below = down[p] & down[q]
         for v in range(n):
-            # sound filter: any witness has c(p,q) <= p and c(p,q) <= q
-            if not (lo[v][p] and lo[v][q]):
+            if not below >> v & 1:
                 continue
             nodes += 1
             if nodes > node_budget:

@@ -15,6 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import (
+    DEFAULT_SEED,
     AlgebraError,
     ElementId,
     FiniteEffectAlgebra,
@@ -25,7 +26,6 @@ from .algebra import (
 from .cloning import CloningWitness, verify_witness
 from .states import StatePolytope, check_state
 
-DEFAULT_SEED = 20260823
 # verify_hidden_variable checks MIXTURES mixtures of the vertex states, their
 # weights drawn from random.Random(DEFAULT_SEED).randint(1, MAX_MIXTURE_WEIGHT)
 MIXTURES = 100
@@ -116,17 +116,18 @@ def effect_algebra_of_mv(mv: FiniteMV) -> FiniteEffectAlgebra:
 def chain_interval(alg: FiniteEffectAlgebra, p: ElementId) -> list[ElementId] | None:
     """[0, p] in increasing order; None unless it is totally ordered and
     closed under the inherited partial sum."""
-    lo = derive_order(alg).leq
-    interval = [x for x in alg.elements() if lo[x][p]]
+    order = derive_order(alg)
+    down, up, below_p = order.down, order.up, order.down[p]
+    interval = [x for x in alg.elements() if below_p >> x & 1]
     for x in interval:
+        if (down[x] | up[x]) & below_p != below_p:
+            return None
         for y in interval:
-            if not (lo[x][y] or lo[y][x]):
-                return None
             s = alg.table[x][y]
-            if s is not None and not lo[s][p]:
+            if s is not None and not below_p >> s & 1:
                 return None
     # on a chain, the size of each down-set gives the order
-    return sorted(interval, key=lambda x: sum(lo[y][x] for y in interval))
+    return sorted(interval, key=lambda x: down[x].bit_count())
 
 
 def find_chain_decomposition(

@@ -96,11 +96,14 @@ def enumerate_vertex_states(alg: FiniteEffectAlgebra) -> StatePolytope:
     """
     dec, walk = atom_decompositions(alg)
     m = len(dec[alg.zero])
+    # dec[x] in 8-bit lanes: counts are below 64, so a row is 0 iff the ints agree
+    packed = [0] * alg.size
+    for y, x, i in walk:
+        packed[y] = packed[x] + (1 << 8 * i)
     rows = {dec[alg.unit] + (1,)}
     for a, b, c in derive_order(alg).sums:
-        row = tuple(map(sub, map(add, dec[a], dec[b]), dec[c]))
-        if any(row):
-            rows.add(row + (0,))
+        if packed[a] + packed[b] != packed[c]:
+            rows.add(tuple(map(sub, map(add, dec[a], dec[b]), dec[c])) + (0,))
     reduced = _reduce(rows)
     if reduced is None:
         raise EmptyStateSpace("the additivity constraints are inconsistent")
@@ -266,10 +269,10 @@ def check_state(alg: FiniteEffectAlgebra, values, scale=1) -> list[str]:
 
 
 def monotone_under(alg: FiniteEffectAlgebra, values) -> bool:
-    lo = derive_order(alg).leq
+    up = derive_order(alg).up
     return all(
         values[p] <= values[q]
         for p in alg.elements()
         for q in alg.elements()
-        if lo[p][q]
+        if up[p] >> q & 1
     )

@@ -150,6 +150,12 @@ def build_corpus():
     return tuple(sorted(fixtures, key=lambda f: f.alg.size))
 
 
+def leq_table(alg):
+    """p <= q as a table of bools, read off the sum table: p <= q iff some r
+    has p + r = q."""
+    return [[q in row for q in alg.elements()] for row in alg.table]
+
+
 def upto(corpus, max_size=64, caps=None, source=None):
     """The corpus algebras of at most max_size elements, in corpus order.
 

@@ -46,7 +46,7 @@ from qlogic.algebra import (
 )
 from qlogic.fuzz import random_algebra, random_algebras, shuffle_carrier
 from qlogic.mv import find_chain_decomposition
-from corpus import BENCH_CARRIERS, CORE, upto
+from corpus import BENCH_CARRIERS, CORE, leq_table, upto
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +173,14 @@ def test_mo2_is_orthoalgebra_by_scan():
 
 def test_zero_below_everything(corpus):
     for _, _, alg in corpus:
-        lo = derive_order(alg).leq
-        assert all(lo[alg.zero][p] and lo[p][alg.unit] for p in alg.elements())
+        order = derive_order(alg)
+        assert all(mask >> alg.zero & 1 for mask in order.down)
+        assert all(mask >> alg.unit & 1 for mask in order.up)
 
 
 def test_chain4_order_matches_arithmetic():
     alg = catalog.chain(4)
-    lo = derive_order(alg).leq
+    down = derive_order(alg).down
     # labels encode k/4, so order must agree with integer comparison
     def level(p):
         lbl = alg.labels[p]
@@ -187,14 +188,14 @@ def test_chain4_order_matches_arithmetic():
 
     for p in alg.elements():
         for q in alg.elements():
-            assert lo[p][q] == (level(p) <= level(q))
+            assert (down[q] >> p & 1 == 1) == (level(p) <= level(q))
 
 
 def test_mo2_atoms_incomparable():
     alg = catalog.mo(2)
-    lo = derive_order(alg).leq
+    down = derive_order(alg).down
     a, b = alg.index("a1"), alg.index("a2")
-    assert not lo[a][b] and not lo[b][a]
+    assert not down[b] >> a & 1 and not down[a] >> b & 1
 
 
 def test_bp2_meet_of_atoms_is_zero():
@@ -263,6 +264,20 @@ def test_chain3_single_atom():
 def test_every_finite_algebra_atomic(corpus):
     for _, _, alg in corpus:
         assert is_atomic(alg)
+
+
+def leq_is_atomic(alg):
+    """Oracle: every nonzero element has an atom below it, scanned on the
+    table of bools."""
+    lo, atoms = leq_table(alg), derive_order(alg).atoms
+    return all(
+        p == alg.zero or any(lo[a][p] for a in atoms) for p in alg.elements()
+    )
+
+
+def test_is_atomic_matches_leq_oracle(corpus):
+    for alg in upto(corpus, caps=CORE):
+        assert is_atomic(alg) == leq_is_atomic(alg), alg.labels
 
 
 def test_isotropic_index_chain3():
@@ -512,8 +527,8 @@ def test_orthogonality_implies_order_bound(corpus):
         for p in alg.elements():
             for q in alg.elements():
                 if alg.perp(p, q):
-                    assert order.leq[p][order.supplement[q]]
-                    assert order.leq[q][order.supplement[p]]
+                    assert order.down[order.supplement[q]] >> p & 1
+                    assert order.down[order.supplement[p]] >> q & 1
 
 
 def test_sharpness_dichotomy(corpus):
@@ -583,26 +598,49 @@ def test_boolean_via_lattice_matches_distributivity(corpus):
     assert outcomes == {True, False}
 
 
+def leq_lattice_boolean(alg):
+    """Oracle: _boolean_via_lattice with each element's set of atoms below
+    it built bit by bit from the table of bools."""
+    n = alg.size
+    order = derive_order(alg)
+    meets, joins, supp = order.meet, order.join, order.supplement
+    if any(None in row for row in meets + joins):
+        return False
+    for p in range(n):
+        if meets[p][supp[p]] != alg.zero or joins[p][supp[p]] != alg.unit:
+            return False
+    atoms, lo = order.atoms, leq_table(alg)
+    below = {sum(1 << i for i, a in enumerate(atoms) if lo[a][x]) for x in range(n)}
+    return len(below) == n == 1 << len(atoms)
+
+
+def test_boolean_via_lattice_matches_leq_oracle(corpus):
+    # the core's mo(n) are orthocomplemented lattices, so they reach the
+    # atom sets and fail there
+    for alg in upto(corpus, caps=CORE):
+        assert _boolean_via_lattice(alg) == leq_lattice_boolean(alg), alg.labels
+
+
 # ---------------------------------------------------------------------------
 # the derived-structure record against brute-force oracles, on the core
 
 
 def brute_meet(alg, p, q):
     """Scan the common lower bounds for one above all the others."""
-    lo = derive_order(alg).leq
-    lower = [r for r in alg.elements() if lo[r][p] and lo[r][q]]
+    down = derive_order(alg).down
+    lower = [r for r in alg.elements() if down[p] >> r & 1 and down[q] >> r & 1]
     for m in lower:
-        if all(lo[r][m] for r in lower):
+        if all(down[m] >> r & 1 for r in lower):
             return m
     return None
 
 
 def brute_join(alg, p, q):
     """Scan the common upper bounds for one below all the others."""
-    lo = derive_order(alg).leq
-    upper = [r for r in alg.elements() if lo[p][r] and lo[q][r]]
+    up = derive_order(alg).up
+    upper = [r for r in alg.elements() if up[p] >> r & 1 and up[q] >> r & 1]
     for m in upper:
-        if all(lo[m][r] for r in upper):
+        if all(up[m] >> r & 1 for r in upper):
             return m
     return None
 
@@ -825,7 +863,8 @@ def generator_derive(alg):
     by_down = {mask: p for p, mask in enumerate(down)}
     by_up = {mask: p for p, mask in enumerate(up)}
     return DerivedStructure(
-        leq=tuple(tuple(r is not None for r in row) for row in difference),
+        down=tuple(down),
+        up=tuple(up),
         supplement=tuple(row[alg.unit] for row in difference),
         atoms=tuple(p for p in range(n) if down[p].bit_count() == 2),
         difference=tuple(tuple(row) for row in difference),
@@ -860,6 +899,16 @@ def test_whole_row_validation_matches_scalar_oracle(corpus):
 def test_whole_row_derive_matches_generator_oracle(corpus):
     for _, _, alg in corpus:
         assert _derive(alg) == generator_derive(alg), alg.labels
+
+
+def test_order_masks_match_differences(corpus):
+    # p <= q iff q - p exists, read off each mask as one bit
+    for _, _, alg in corpus:
+        order = derive_order(alg)
+        for p in alg.elements():
+            for q in alg.elements():
+                below = order.difference[p][q] is not None
+                assert order.down[q] >> p & 1 == order.up[p] >> q & 1 == below
 
 
 def corrupt_sums(doc, rng):

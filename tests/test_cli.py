@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import catalog, cli, mv, reports
+from qlogic import algebra, catalog, cli, mv, reports
 from qlogic.cli import EXIT_ABORTED, EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
 from qlogic.reports import MAX_INPUT_BYTES, REPORT_SCHEMA, render_text
 from corpus import complete_quadrilateral, grid, stateless_pasting
@@ -972,18 +972,22 @@ LAYER_MODULES = {"qlogic.catalog", "qlogic.cloning", "qlogic.mv", "qlogic.states
         # above the state cap clone-search leaves out the state keys
         (["clone-search", "{big}", "--all"], {"fractions", "qlogic.states"}),
         (["hidden", "{file}"], {"fractions"}),
+        # without a witness hidden needs neither the model nor the states
+        (["hidden", "{mo2}"], {"fractions", "qlogic.mv", "qlogic.states"}),
         # catalog reads no file, so it loads no hash at all
         (["catalog", "mo(2)"], {"_sha2", "_sha256"}),
     ],
     ids=[
         "validate", "analyze", "states", "clone-search", "clone-search-36", "hidden",
-        "catalog",
+        "hidden-no-witness", "catalog",
     ],
 )
-def test_commands_import_only_what_they_run(tmp_path, bp2_file, argv, absent):
+def test_commands_import_only_what_they_run(
+    tmp_path, bp2_file, mo2_file, argv, absent
+):
     """Each command in a fresh interpreter, without site, lists sys.modules.
 
-    {file} is bp(2) and {big} the 36-element product(mo(2),mo(2)).
+    {file} is bp(2), {mo2} mo(2) and {big} the 36-element product(mo(2),mo(2)).
     """
     big = tmp_path / "mo2squared.json"
     big.write_text(catalog.build_spec("product(mo(2),mo(2))").to_json())
@@ -994,7 +998,7 @@ def test_commands_import_only_what_they_run(tmp_path, bp2_file, argv, absent):
         "main(sys.argv[1:])\n"
         "sys.stderr.write(' '.join(sys.modules))\n"
     )
-    argv = [a.format(file=bp2_file, big=big) for a in argv]
+    argv = [a.format(file=bp2_file, mo2=mo2_file, big=big) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe, *argv],
         stdout=subprocess.DEVNULL,
@@ -1011,11 +1015,17 @@ def test_commands_import_only_what_they_run(tmp_path, bp2_file, argv, absent):
     assert sorted(loaded & (absent | {"dataclasses", "hashlib", "_hashlib"})) == []
 
 
-def test_hidden_seed_defaults_to_mv_default_seed(capsys, bp2_file):
+def test_hidden_seed_defaults_to_mv_default_seed(capsys, bp2_file, mo2_file):
     code, out = run(capsys, "hidden", bp2_file, "--format", "json")
     doc = last_json(out)
     assert code == EXIT_OK
     assert doc["seed"] == doc["results"]["verification"]["seed"] == mv.DEFAULT_SEED
+    assert mv.DEFAULT_SEED == algebra.DEFAULT_SEED
+    # a report without a witness carries the same seed
+    code, out = run(capsys, "hidden", mo2_file, "--format", "json")
+    doc = last_json(out)
+    assert code == EXIT_FAIL and doc["results"]["hypothesis_met"] is False
+    assert doc["seed"] == mv.DEFAULT_SEED
 
 
 # argparse help at 80 columns, as printed before the default of --budget

@@ -336,7 +336,7 @@ def rescan_search(alg, enumerate_all=False, node_budget=DEFAULT_NODE_BUDGET):
     n = alg.size
     sumt = alg.table
     order = derive_order(alg)
-    lo = order.leq
+    down = order.down
     sub = order.difference
     branch_cells = [(p, q) for p in order.atoms for q in order.atoms]
 
@@ -396,7 +396,7 @@ def rescan_search(alg, enumerate_all=False, node_budget=DEFAULT_NODE_BUDGET):
             return
         p, q = cell
         for v in range(n):
-            if not (lo[v][p] and lo[v][q]):
+            if not (down[p] >> v & 1 and down[q] >> v & 1):
                 continue
             nodes += 1
             if nodes > node_budget:

@@ -35,6 +35,7 @@ from corpus import (
     fraction_vertices,
     hidden_variable_models,
     integer_polytope,
+    leq_table,
     luka_chain,
     upto,
 )
@@ -100,12 +101,37 @@ def test_chain_interval_is_increasing(corpus):
         alg.index(x) for x in ("0", "1/3", "2/3", "1")
     ]
     for alg in upto(corpus, caps=CORE):
-        lo = derive_order(alg).leq
+        down = derive_order(alg).down
         for p in alg.elements():
             interval = chain_interval(alg, p)
             if interval is not None:
-                assert sorted(interval) == [x for x in alg.elements() if lo[x][p]]
-                assert all(lo[x][y] for x, y in zip(interval, interval[1:]))
+                below_p = [x for x in alg.elements() if down[p] >> x & 1]
+                assert sorted(interval) == below_p
+                assert all(down[y] >> x & 1 for x, y in zip(interval, interval[1:]))
+
+
+def leq_chain_interval(alg, p):
+    """Oracle: chain_interval scanned pair by pair on the table of bools."""
+    lo = leq_table(alg)
+    interval = [x for x in alg.elements() if lo[x][p]]
+    for x in interval:
+        for y in interval:
+            if not (lo[x][y] or lo[y][x]):
+                return None
+            s = alg.table[x][y]
+            if s is not None and not lo[s][p]:
+                return None
+    return sorted(interval, key=lambda x: sum(lo[y][x] for y in interval))
+
+
+def test_chain_interval_matches_leq_oracle(corpus):
+    found = set()
+    for alg in upto(corpus, caps=CORE):
+        for p in alg.elements():
+            interval = chain_interval(alg, p)
+            assert interval == leq_chain_interval(alg, p), (alg.labels, p)
+            found.add(interval is None)
+    assert found == {True, False}
 
 
 def test_chain_decomposition_bp2():
@@ -353,7 +379,7 @@ def scalar_order_reflection(model):
     alg, mv, h = model.algebra, model.mv, model.h
     order = derive_order(alg)
     return all(
-        order.leq[x][order.supplement[y]]
+        order.down[order.supplement[y]] >> x & 1
         == (mv.P[mv.N[h[x]]][mv.N[h[y]]] == mv.one)
         for x in alg.elements()
         for y in alg.elements()

@@ -201,6 +201,31 @@ def test_double_description_matches_combinatorial_oracle(polytopes, corpus):
         )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chain(40)",
+        "chain(63)",
+        "horizontal_sum(chain(32),chain(32))",
+        # x + y = 1 in the long chain, against the unit decomposed into 2
+        # or 3 atoms of the short one: lanes of 4 bits would read the row
+        # (32, -2) as zero, as 32 = 2 * 16
+        "horizontal_sum(chain(32),chain(2))",
+        "horizontal_sum(chain(2),chain(32))",
+        "horizontal_sum(chain(48),chain(3))",
+        "horizontal_sum(chain(3),chain(48))",
+    ],
+)
+def test_atom_counts_past_4_bits_match_combinatorial_oracle(spec):
+    # the oracle builds each constraint row from the unpacked counts
+    alg = catalog.build_spec(spec)
+    dec, _ = atom_decompositions(alg)
+    assert max(map(max, dec)) > 15
+    assert enumerate_vertex_states(alg) == polytope_or_message(
+        combinatorial_vertex_states, alg
+    )
+
+
 def test_extreme_rays_by_double_description():
     # y0 + y1 <= 0 leaves the orthant's apex alone, so no ray and no state
     assert states._extreme_rays(2, [[-1, -1]]) == []
